@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .datasets import Vocab, group_targets, resample_dates, resample_time
-from .errors import DataError
+from .errors import DataError, NumericError
 
 FilterIndex = dict[tuple[int, int, int], np.ndarray]
 
@@ -98,7 +98,8 @@ def evaluate(model, quads: np.ndarray, flt: FilterIndex | None,
     """Rank the true object of every query in a reciprocal-augmented split.
 
     Dropout stays off, so evaluation is deterministic. ``tail`` metrics
-    cover the original facts, ``head`` their reciprocal twins.
+    cover the original facts, ``head`` their reciprocal twins. Raises
+    :class:`NumericError` if any logit is non-finite.
     """
     if mode not in ("filtered", "raw"):
         raise DataError(f"unknown evaluation mode {mode!r}")
@@ -111,6 +112,10 @@ def evaluate(model, quads: np.ndarray, flt: FilterIndex | None,
         chunk = quads[start:start + batch_size]
         logits, _ = model.forward(chunk[:, 0], chunk[:, 1], chunk[:, 3],
                                   training=False)
+        # every comparison with NaN is false, so a NaN would rank first
+        if not np.isfinite(logits).all():
+            raise NumericError(
+                f"non-finite logits for queries {start}..{start + chunk.shape[0] - 1}")
         for i, (s, p, o, t) in enumerate(chunk):
             row = logits[i]
             if mode == "filtered":

@@ -33,6 +33,11 @@ INIT_EMBED_SCALE = 0.05
 INIT_CHAIN_NOISE = 0.01
 
 
+# Tensors whose gradient one matmul assigns whole; every other gradient is
+# scattered row by row into a zero-filled table.
+_MATMUL_GRADS = ("entity", "subject_proj", "relation_proj", "time_proj", "chain_proj")
+
+
 class Variant(enum.Enum):
     LOWFER = "lowfer"
     T = "t"
@@ -352,13 +357,14 @@ class Model:
         else:
             h = a * b
 
+        # h and g are fresh temporaries, so the masks apply in place
         mask_input = _dropout_mask(h.shape, dropout_input, training, rng)
         if mask_input is not None:
-            h = h * mask_input
+            h *= mask_input
         g = pool_rows(h, p.rank)
         mask_hidden = _dropout_mask(g.shape, dropout_hidden, training, rng)
         if mask_hidden is not None:
-            g = g * mask_hidden
+            g *= mask_hidden
 
         return FusedBatch(
             s_idx=s_idx, p_idx=p_idx, t_idx=t_idx, subj=subj, rel=rel,
@@ -376,8 +382,9 @@ class Model:
 
         ``dlogits`` must match the cached batch. Entities collect two
         contributions: as subjects (scattered per row) and as scoring
-        candidates (dense). Tensors a variant never touches come back
-        zero-filled.
+        candidates (dense). Embedding tables a batch only partly touches
+        get zero rows. Projection gradients come straight from their
+        matmul, so an exact zero there may be ``-0.0``.
         """
         p = self.params
         dlogits = np.asarray(dlogits, dtype=np.float64)
@@ -386,57 +393,55 @@ class Model:
                 f"dlogits shape {dlogits.shape} does not match batch "
                 f"({cache.size}, {p.num_entities})"
             )
-        grads = p.zero_grads()
+        tensors = p.tensors()
+        grads = {name: np.zeros_like(t) for name, t in tensors.items()
+                 if name not in _MATMUL_GRADS}
+        # logits = g @ entity^T; the subject rows are scattered in below
+        grads["entity"] = dlogits.T @ cache.g
 
-        # logits = g @ entity^T
+        # dg and dh are fresh temporaries, updated in place from here on
         dg = dlogits @ p.entity
-        grads["entity"] += dlogits.T @ cache.g
-
         if cache.mask_hidden is not None:
-            dg = dg * cache.mask_hidden
+            dg *= cache.mask_hidden
         dh = expand_pool_grad(dg, p.rank)
         if cache.mask_input is not None:
-            dh = dh * cache.mask_input
+            dh *= cache.mask_input
 
         if p.variant in (Variant.CFB, Variant.FTP):
             da = dh * cache.w
-            dw = dh * cache.a
+            dw = np.multiply(dh, cache.a, out=dh)
             if p.variant is Variant.CFB:
-                grads["chain_proj"] += cache.inner.T @ dw
+                grads["chain_proj"] = cache.inner.T @ dw
                 dinner = dw @ p.chain_proj.T
             else:
                 dinner = dw
             db = dinner * cache.c
-            dc = dinner * cache.b
-            grads["time_proj"] += cache.time.T @ dc
+            dc = np.multiply(dinner, cache.b, out=dinner)
+            grads["time_proj"] = cache.time.T @ dc
             dtime = dc @ p.time_proj.T
         else:
             da = dh * cache.b
-            db = dh * cache.a
+            db = np.multiply(dh, cache.a, out=dh)
             dtime = None
 
-        grads["relation_proj"] += cache.rel_in.T @ db
+        grads["relation_proj"] = cache.rel_in.T @ db
         drel_in = db @ p.relation_proj.T
-        if p.variant is Variant.LOWFER:
-            drel = drel_in
-        elif p.variant is Variant.T:
+        if p.variant in (Variant.T, Variant.TNT):
+            if p.variant is Variant.TNT:
+                np.add.at(grads["relation_static"], cache.p_idx, drel_in)
             drel = drel_in * cache.time
-            dtime = drel_in * cache.rel
-        elif p.variant is Variant.TNT:
-            drel = drel_in * cache.time
-            dtime = drel_in * cache.rel
-            np.add.at(grads["relation_static"], cache.p_idx, drel_in)
+            dtime = np.multiply(drel_in, cache.rel, out=drel_in)
         else:
             drel = drel_in
 
-        grads["subject_proj"] += cache.subj.T @ da
+        grads["subject_proj"] = cache.subj.T @ da
         dsubj = da @ p.subject_proj.T
 
         np.add.at(grads["entity"], cache.s_idx, dsubj)
         np.add.at(grads["relation"], cache.p_idx, drel)
         if dtime is not None:
             p.encoder.scatter_grad(cache.t_idx, dtime, grads)
-        return grads
+        return {name: grads[name] for name in tensors}
 
     def count_parameters(self) -> int:
         return self.params.count_parameters()
@@ -444,10 +449,19 @@ class Model:
 
 def _dropout_mask(shape, rate: float, training: bool,
                   rng: np.random.Generator | None) -> np.ndarray | None:
-    if not training or rate <= 0.0:
-        return None
+    """Inverted-dropout mask: 0 with probability ``rate``, else 1/(1-rate).
+
+    ``None`` when nothing is dropped (eval mode or rate 0). The rate is
+    validated first, whatever the mode.
+    """
     if not 0.0 <= rate < 1.0:
         raise ConfigError(f"dropout rate must be in [0, 1), got {rate}")
+    if not training or rate == 0.0:
+        return None
     if rng is None:
         raise ConfigError("training-mode dropout needs a random generator")
-    return (rng.random(shape) >= rate) / (1.0 - rate)
+    # the uniform draws become the mask in place: keep >= rate, then scale
+    mask = rng.random(shape)
+    np.greater_equal(mask, rate, out=mask)
+    mask /= 1.0 - rate
+    return mask

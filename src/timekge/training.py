@@ -11,6 +11,7 @@ initialization, shuffling and dropout in a fixed consumption order.
 import dataclasses
 import json
 import logging
+import math
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -26,13 +27,17 @@ from .errors import (
     ConfigError,
     NumericError,
 )
-from .scoring import Model, ModelParams, Variant, init_params
+from .scoring import Model, ModelParams, Variant, _dropout_mask, init_params
 from .time_encoding import CyclicTimeEncoder, SimpleTimeEncoder
 
 logger = logging.getLogger(__name__)
 
 RNG_ALGORITHM = "numpy-pcg64"
 CHECKPOINT_FORMAT = "timekge-checkpoint-v1"
+
+# Elementwise passes over large arrays run in chunks of this many float64
+# values (256 KiB), so that each chunk's temporaries stay in cache.
+_CHUNK = 1 << 15
 
 
 # ---------------------------------------------------------------------------
@@ -52,15 +57,6 @@ def smooth_targets(true_objects, num_entities: int, smoothing: float) -> np.ndar
     return y
 
 
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    z = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0 / (1.0 + z), z / (1.0 + z))
-
-
-def _softplus(x: np.ndarray) -> np.ndarray:
-    return np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
-
-
 def bce_loss(logits: np.ndarray, targets: np.ndarray) -> tuple[float, np.ndarray]:
     """Mean binary cross-entropy over candidates, in overflow-safe form.
 
@@ -71,29 +67,50 @@ def bce_loss(logits: np.ndarray, targets: np.ndarray) -> tuple[float, np.ndarray
     y = np.asarray(targets, dtype=np.float64)
     if x.shape != y.shape:
         raise ConfigError(f"logits shape {x.shape} != targets shape {y.shape}")
-    if not np.isfinite(x).all():
-        raise NumericError("non-finite logits in bce_loss")
-    # -[y log s(x) + (1-y) log(1-s(x))] == y*softplus(-x) + (1-y)*softplus(x)
-    loss = float(np.mean(y * _softplus(-x) + (1.0 - y) * _softplus(x)))
-    grad = (_sigmoid(x) - y) / x.size
-    return loss, grad
+    if x.size == 0:
+        raise ConfigError("bce_loss: no logits")
+    # -[y log s(x) + (1-y) log(1-s(x))] == softplus(x) - y*x, where
+    # softplus(x) = max(x, 0) + log1p(z) and s(x) = where(x >= 0, 1, z) / (1 + z)
+    # share one z = exp(-|x|), computed in place in the gradient's own memory
+    grad = np.empty(x.shape)
+    flat_x, flat_y, flat_grad = x.reshape(-1), y.reshape(-1), grad.reshape(-1)
+    width = min(_CHUNK, x.size)
+    terms, scratch, nonneg = np.empty(width), np.empty(width), np.empty(width, dtype=bool)
+    sums = []
+    with np.errstate(invalid="ignore", over="ignore"):
+        for start in range(0, x.size, _CHUNK):
+            xs, ys = flat_x[start:start + _CHUNK], flat_y[start:start + _CHUNK]
+            z = flat_grad[start:start + _CHUNK]
+            t, sc, pos = terms[:xs.size], scratch[:xs.size], nonneg[:xs.size]
+            np.abs(xs, out=z)
+            np.negative(z, out=z)
+            np.exp(z, out=z)
+            np.maximum(xs, 0.0, out=t)
+            t += np.log1p(z, out=sc)
+            t -= np.multiply(ys, xs, out=sc)
+            sums.append(t.sum())
+            # a non-finite logit always makes its term inf or nan
+            if not np.isfinite(sums[-1]):
+                raise NumericError("non-finite logits or loss in bce_loss")
+            np.add(z, 1.0, out=t)
+            np.greater_equal(xs, 0.0, out=pos)
+            np.copyto(z, 1.0, where=pos)
+            z /= t
+            z -= ys
+            z /= x.size
+    return math.fsum(sums) / x.size, grad
 
 
 def apply_dropout(x, rate: float, rng: np.random.Generator | None = None,
                   training: bool = True) -> np.ndarray:
     """Inverted dropout: zero with probability ``rate``, scale survivors.
 
-    Identity when ``training`` is false or the rate is zero.
+    Identity when ``training`` is false or the rate is zero. The mask is
+    the one :meth:`Model.fuse` samples.
     """
     arr = np.asarray(x, dtype=np.float64)
-    if not training or rate == 0.0:
-        return arr.copy()
-    if not 0.0 <= rate < 1.0:
-        raise ConfigError(f"dropout rate must be in [0, 1), got {rate}")
-    if rng is None:
-        raise ConfigError("training-mode dropout needs a random generator")
-    mask = rng.random(arr.shape) >= rate
-    return arr * mask / (1.0 - rate)
+    mask = _dropout_mask(arr.shape, rate, training, rng)
+    return arr.copy() if mask is None else arr * mask
 
 
 # ---------------------------------------------------------------------------
@@ -123,21 +140,38 @@ class AdamState:
 
 def adam_step(tensors: dict[str, np.ndarray], grads: dict[str, np.ndarray],
               state: AdamState, lr: float) -> None:
-    """One in-place Adam update with bias correction."""
+    """One in-place Adam update with bias correction.
+
+    ``theta -= lr * (m / bc1) / (sqrt(v / bc2) + eps)``, computed in place
+    chunk by chunk through two small scratch buffers; ``grads`` is only read.
+    """
+    for name, theta in tensors.items():
+        if grads[name].shape != theta.shape:
+            raise ConfigError(f"gradient shape mismatch for {name!r}")
+        # updated through flat views, which only C-contiguous arrays have
+        if not all(a.flags.c_contiguous for a in (theta, state.m[name], state.v[name])):
+            raise ConfigError(f"{name!r}: parameter and moments must be C-contiguous")
     state.step += 1
     bc1 = 1.0 - state.beta1 ** state.step
     bc2 = 1.0 - state.beta2 ** state.step
+    scratch, step = np.empty(_CHUNK), np.empty(_CHUNK)
     for name, theta in tensors.items():
-        g = grads[name]
-        if g.shape != theta.shape:
-            raise ConfigError(f"gradient shape mismatch for {name!r}")
-        m = state.m[name]
-        v = state.v[name]
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * g * g
-        theta -= lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
+        flat = [a.reshape(-1) for a in (theta, grads[name], state.m[name], state.v[name])]
+        for start in range(0, theta.size, _CHUNK):
+            t, g, m, v = (a[start:start + _CHUNK] for a in flat)
+            sc, st = scratch[:g.size], step[:g.size]
+            m *= state.beta1
+            m += np.multiply(g, 1.0 - state.beta1, out=sc)
+            v *= state.beta2
+            np.multiply(g, 1.0 - state.beta2, out=sc)
+            v += np.multiply(sc, g, out=sc)
+            np.divide(v, bc2, out=sc)
+            np.sqrt(sc, out=sc)
+            sc += state.eps
+            np.divide(m, bc1, out=st)
+            st *= lr
+            st /= sc
+            t -= st
 
 
 def decay_lr(base_lr: float, decay: float, epoch: int) -> float:
@@ -217,10 +251,12 @@ def train_epoch(model: Model, keys: np.ndarray,
     total = 0.0
     for start in range(0, keys.shape[0], config.batch_size):
         batch = keys[order[start:start + config.batch_size]]
+        objects = [targets[key] for key in map(tuple, batch.tolist())]
+        rows = np.repeat(np.arange(batch.shape[0]) * num_entities,
+                         [objs.size for objs in objects])
         y = np.full((batch.shape[0], num_entities),
                     config.label_smoothing / num_entities)
-        for i, (s, p, t) in enumerate(batch):
-            y[i, targets[(int(s), int(p), int(t))]] += 1.0 - config.label_smoothing
+        y.reshape(-1)[rows + np.concatenate(objects)] += 1.0 - config.label_smoothing
         logits, cache = model.forward(
             batch[:, 0], batch[:, 1], batch[:, 2], training=True,
             dropout_input=config.dropout_input,
@@ -428,6 +464,10 @@ def load_checkpoint(directory, dataset: Dataset) -> tuple[ModelParams, dict]:
                 f"{path.name}: expected {count * 8} bytes for shape {shape}, "
                 f"got {len(raw)}")
         tensors[name] = np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(shape)
+        # min and max carry any NaN or inf, with no tensor-sized temporary
+        tensor = tensors[name]
+        if tensor.size and not (np.isfinite(tensor.min()) and np.isfinite(tensor.max())):
+            raise CheckpointCorruptError(f"{path.name}: tensor {name!r} holds non-finite values")
 
     variant = Variant.from_string(manifest["variant"])
     rate = int(manifest.get("time_sampling_rate", 1))

@@ -124,6 +124,31 @@ class TestEvaluate:
                      "--dataset", SYNTH]) == 1
 
 
+    def test_non_finite_logits_exit_3(self, tmp_path, capsys):
+        code, out = run_train(tmp_path)
+        assert code == 0
+        # finite, so the checkpoint loads, but the logits overflow
+        entity = out / "checkpoint-best" / "entity.bin"
+        np.full(entity.stat().st_size // 8, 1e200, dtype="<f8").tofile(entity)
+        capsys.readouterr()
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = main(["evaluate", "--checkpoint", str(out / "checkpoint-best"),
+                         "--dataset", SYNTH])
+        assert code == 3
+        assert "non-finite logits" in capsys.readouterr().err
+
+    def test_non_finite_checkpoint_exits_1(self, tmp_path, capsys):
+        code, out = run_train(tmp_path)
+        entity = out / "checkpoint-best" / "entity.bin"
+        values = np.fromfile(entity, dtype="<f8")
+        values[0] = np.nan
+        values.tofile(entity)
+        capsys.readouterr()
+        assert main(["evaluate", "--checkpoint", str(out / "checkpoint-best"),
+                     "--dataset", SYNTH]) == 1
+        assert "entity" in capsys.readouterr().err
+
+
 class TestStats:
     def test_synthetic_stats(self, capsys):
         assert main(["stats", "--dataset", SYNTH]) == 0

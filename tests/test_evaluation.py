@@ -6,8 +6,8 @@ import datetime as dt
 import numpy as np
 import pytest
 
-from timekge.datasets import Vocab, augment_reciprocal
-from timekge.errors import DataError
+from timekge.datasets import Dataset, Vocab, augment_reciprocal, synthetic_dataset_dir
+from timekge.errors import DataError, NumericError
 from timekge.evaluation import (
     build_filter,
     evaluate,
@@ -233,6 +233,39 @@ class TestEvaluate:
         metrics = evaluate(random_model(seed=16), quads, flt)
         assert metrics.hits1 <= metrics.hits3 <= metrics.hits10
         assert metrics.mrr >= metrics.hits1
+
+
+class TestNonFiniteLogits:
+    def trainer(self):
+        from timekge.training import TrainConfig, Trainer
+
+        cfg = TrainConfig(variant="t", dim_entity=8, rank=2, epochs=0, seed=0)
+        return Trainer(Dataset.from_dir(synthetic_dataset_dir()), cfg)
+
+    def test_clean_model_ranks_within_bounds(self):
+        metrics = self.trainer().evaluate_split("valid")
+        assert 0.0 < metrics.mrr < 1.0
+
+    @pytest.mark.parametrize("mode", ["filtered", "raw"])
+    def test_nan_relation_table_raises(self, mode):
+        # NaN compares false with everything, which used to rank every
+        # query first: MRR 2.0 and Hits@1 1.0 on this model
+        trainer = self.trainer()
+        trainer.model.params.relation[:] = np.nan
+        with pytest.raises(NumericError):
+            trainer.evaluate_split("valid", mode=mode)
+
+    def test_one_nan_coordinate_raises(self):
+        trainer = self.trainer()
+        trainer.model.params.entity[0, 0] = np.nan
+        with pytest.raises(NumericError):
+            trainer.evaluate_split("test")
+
+    def test_overflowing_logits_raise(self):
+        trainer = self.trainer()
+        trainer.model.params.entity[:] = 1e200
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NumericError):
+            trainer.evaluate_split("valid")
 
 
 class TestExports:

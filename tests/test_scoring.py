@@ -11,6 +11,7 @@ from timekge.kernels import hadamard, matvec_t, sum_pool
 from timekge.scoring import (
     Model,
     Variant,
+    _dropout_mask,
     fuse_cfb,
     fuse_ftp,
     fuse_lowfer,
@@ -230,6 +231,27 @@ class TestModelForward:
         assert set(np.unique(train_cache.mask_input)) <= {0.0, 2.0}
 
 
+    def test_dropout_mask_is_the_scaled_uniform_draw(self):
+        mask = _dropout_mask((6, 5), 0.3, True, np.random.default_rng(21))
+        expected = (np.random.default_rng(21).random((6, 5)) >= 0.3) / (1.0 - 0.3)
+        assert mask.dtype == np.float64
+        assert np.array_equal(mask, expected)
+
+    @pytest.mark.parametrize("training", [True, False])
+    @pytest.mark.parametrize("rate", [-0.5, 1.0])
+    def test_out_of_range_dropout_rejected(self, rate, training):
+        with pytest.raises(ConfigError):
+            _dropout_mask((2, 3), rate, training, np.random.default_rng(0))
+        model = tiny_model("tnt", seed=15)
+        s, pr, t = random_batch(np.random.default_rng(16))
+        with pytest.raises(ConfigError):
+            model.fuse(s, pr, t, training=training, dropout_input=rate,
+                       rng=np.random.default_rng(0))
+        with pytest.raises(ConfigError):
+            model.fuse(s, pr, t, training=training, dropout_hidden=rate,
+                       rng=np.random.default_rng(0))
+
+
 class TestBuildGuards:
     def test_ftp_requires_rank_one(self):
         with pytest.raises(ConfigError, match="rank 1"):
@@ -309,6 +331,60 @@ class TestBackward:
         report = finite_diff_check(loss, model.params.tensors(), grads,
                                    epsilon=1e-5, max_coords=16, seed=41)
         assert report.max_rel_error < 1e-4, report
+
+    @staticmethod
+    def reference_backward(model, cache, dlogits):
+        """Unfused backward pass: every product a new array, every gradient
+        accumulated into zeros."""
+        p = model.params
+        grads = p.zero_grads()
+        dg = dlogits @ p.entity
+        grads["entity"] += dlogits.T @ cache.g
+        dg = dg * cache.mask_hidden
+        dh = np.repeat(dg, p.rank, axis=1) * cache.mask_input
+        if p.variant in (Variant.CFB, Variant.FTP):
+            da, dw = dh * cache.w, dh * cache.a
+            if p.variant is Variant.CFB:
+                grads["chain_proj"] += cache.inner.T @ dw
+                dinner = dw @ p.chain_proj.T
+            else:
+                dinner = dw
+            db, dc = dinner * cache.c, dinner * cache.b
+            grads["time_proj"] += cache.time.T @ dc
+            dtime = dc @ p.time_proj.T
+        else:
+            da, db, dtime = dh * cache.b, dh * cache.a, None
+        grads["relation_proj"] += cache.rel_in.T @ db
+        drel = drel_in = db @ p.relation_proj.T
+        if p.variant in (Variant.T, Variant.TNT):
+            drel, dtime = drel_in * cache.time, drel_in * cache.rel
+        if p.variant is Variant.TNT:
+            np.add.at(grads["relation_static"], cache.p_idx, drel_in)
+        grads["subject_proj"] += cache.subj.T @ da
+        np.add.at(grads["entity"], cache.s_idx, da @ p.subject_proj.T)
+        np.add.at(grads["relation"], cache.p_idx, drel)
+        if dtime is not None:
+            p.encoder.scatter_grad(cache.t_idx, dtime, grads)
+        return grads
+
+    @pytest.mark.parametrize("variant", [v.value for v in Variant])
+    @pytest.mark.parametrize("encoder", ["ste", "cte"])
+    def test_matches_unfused_reference_bit_for_bit(self, variant, encoder):
+        model = tiny_model(variant, encoder=encoder, seed=30)
+        rng = np.random.default_rng(31)
+        s, pr, t = random_batch(rng, n=6)
+        logits, cache = model.forward(s, pr, t, training=True, dropout_input=0.3,
+                                      dropout_hidden=0.4, rng=rng)
+        dlogits = rng.standard_normal(logits.shape)
+        kept = {name: getattr(cache, name) for name in ("a", "b", "g", "mask_input")}
+        kept = {name: value.copy() for name, value in kept.items()}
+        grads = model.backward(cache, dlogits)
+        expected = self.reference_backward(model, cache, dlogits)
+        assert list(grads) == list(expected)
+        for name, grad in grads.items():
+            assert np.array_equal(grad, expected[name]), name
+        for name, value in kept.items():
+            assert np.array_equal(getattr(cache, name), value), name
 
     def test_zero_upstream_gives_zero_grads(self):
         model = tiny_model("cfb", seed=5)

@@ -16,6 +16,7 @@ from timekge.errors import (
     NumericError,
 )
 from timekge.evaluation import evaluate
+from timekge import training
 from timekge.training import (
     AdamState,
     TrainConfig,
@@ -96,6 +97,51 @@ class TestBceLoss:
         with pytest.raises(NumericError):
             bce_loss(np.array([np.nan]), np.array([1.0]))
 
+    @staticmethod
+    def two_softplus_reference(x, y):
+        """The textbook form: two softplus terms and a branchwise sigmoid."""
+        z = np.exp(-np.abs(x))
+        softplus = np.maximum(x, 0.0) + np.log1p(z)
+        softplus_neg = np.maximum(-x, 0.0) + np.log1p(z)
+        sigmoid = np.where(x >= 0, 1.0 / (1.0 + z), z / (1.0 + z))
+        loss = float(np.mean(y * softplus_neg + (1.0 - y) * softplus))
+        return loss, (sigmoid - y) / x.size
+
+    @pytest.mark.parametrize("x", [
+        np.zeros(5),
+        np.array([1000.0, -1000.0, 0.0, 1e-300, -1e-300]),
+        np.random.default_rng(4).standard_normal((3, 7)) * 5,
+        # more elements than one chunk, so chunk edges are covered
+        np.random.default_rng(5).standard_normal((7, 10_001)) * 20,
+    ])
+    def test_matches_two_softplus_form(self, x):
+        y = np.random.default_rng(6).random(x.shape)
+        y.reshape(-1)[::3] = 1.0
+        loss, grad = bce_loss(x, y)
+        ref_loss, ref_grad = self.two_softplus_reference(x, y)
+        assert np.array_equal(grad, ref_grad)
+        assert abs(loss - ref_loss) <= 1e-14 * abs(ref_loss)
+
+    def test_non_contiguous_logits(self):
+        x = np.random.default_rng(7).standard_normal((40, 30)).T
+        y = np.full(x.shape, 0.25)
+        loss, grad = bce_loss(x, y)
+        ref_loss, ref_grad = bce_loss(np.ascontiguousarray(x), y)
+        assert loss == ref_loss
+        assert np.array_equal(grad, ref_grad)
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf])
+    def test_infinite_logits_rejected(self, bad):
+        x = np.zeros(50_000)
+        x[40_000] = bad
+        for y in (np.zeros_like(x), np.full_like(x, 0.5)):
+            with pytest.raises(NumericError):
+                bce_loss(x, y)
+
+    def test_empty_logits_rejected(self):
+        with pytest.raises(ConfigError):
+            bce_loss(np.zeros((2, 0)), np.zeros((2, 0)))
+
     def test_batch_loss_averages_rows(self):
         rng = np.random.default_rng(1)
         x = rng.standard_normal((3, 7))
@@ -130,6 +176,19 @@ class TestDropout:
         np.testing.assert_allclose(total / draws, x, rtol=0.02)
 
 
+    @pytest.mark.parametrize("rate", [-0.5, -1e-12, 1.0, 1.5])
+    def test_out_of_range_rate_rejected(self, rate):
+        with pytest.raises(ConfigError):
+            apply_dropout(np.ones(4), rate, np.random.default_rng(0))
+        with pytest.raises(ConfigError):
+            apply_dropout(np.ones(4), rate, np.random.default_rng(0), training=False)
+
+    def test_uses_the_training_mask(self):
+        x = np.linspace(-1.0, 1.0, 12).reshape(3, 4)
+        mask = (np.random.default_rng(8).random(x.shape) >= 0.3) / (1.0 - 0.3)
+        assert np.array_equal(apply_dropout(x, 0.3, np.random.default_rng(8)), x * mask)
+
+
 class TestAdam:
     def test_zero_gradient_is_fixed_point(self):
         theta = {"w": np.array([1.0, -2.0])}
@@ -154,6 +213,38 @@ class TestAdam:
             adam_step(theta, {"w": np.array([2.5])}, state, lr=0.01)
             history.append(theta["w"][0])
         assert all(b < a for a, b in zip(history, history[1:]))
+
+    def test_matches_textbook_update_bit_for_bit(self):
+        rng = np.random.default_rng(9)
+        # one tensor spans several update chunks, the other is tiny
+        shapes = {"big": (300, 250), "small": (3,)}
+        theta = {k: rng.standard_normal(s) for k, s in shapes.items()}
+        ref = {k: t.copy() for k, t in theta.items()}
+        ref_m = {k: np.zeros(s) for k, s in shapes.items()}
+        ref_v = {k: np.zeros(s) for k, s in shapes.items()}
+        state = AdamState.for_params(theta)
+        b1, b2, eps, lr = state.beta1, state.beta2, state.eps, 0.05
+        for step in range(1, 4):
+            grads = {k: rng.standard_normal(s) for k, s in shapes.items()}
+            kept = {k: g.copy() for k, g in grads.items()}
+            adam_step(theta, grads, state, lr)
+            for k, g in kept.items():
+                assert np.array_equal(grads[k], g)  # grads are only read
+                ref_m[k] = b1 * ref_m[k] + (1.0 - b1) * g
+                ref_v[k] = b2 * ref_v[k] + (1.0 - b2) * g * g
+                m_hat = ref_m[k] / (1.0 - b1 ** step)
+                v_hat = ref_v[k] / (1.0 - b2 ** step)
+                ref[k] = ref[k] - lr * m_hat / (np.sqrt(v_hat) + eps)
+        for k in shapes:
+            assert np.array_equal(theta[k], ref[k])
+            assert np.array_equal(state.m[k], ref_m[k])
+            assert np.array_equal(state.v[k], ref_v[k])
+
+    def test_non_contiguous_parameter_rejected(self):
+        theta = {"w": np.zeros((4, 3)).T}
+        state = AdamState.for_params({"w": np.zeros((3, 4))})
+        with pytest.raises(ConfigError):
+            adam_step(theta, {"w": np.ones((3, 4))}, state, lr=0.1)
 
     def test_shape_mismatch_rejected(self):
         theta = {"w": np.zeros(3)}
@@ -234,6 +325,28 @@ class TestTrainingLoop:
         with np.errstate(all="ignore"), pytest.raises(NumericError, match="epoch"):
             trainer.run()
 
+    def test_target_matrix_matches_smooth_targets(self, monkeypatch):
+        ds = Dataset.from_dir(synthetic_dataset_dir())
+        cfg = TrainConfig(variant="tnt", dim_entity=8, rank=2, epochs=1,
+                          seed=2, batch_size=64)
+        trainer = Trainer(ds, cfg)
+        batches = []
+
+        def spy(logits, targets):
+            batches.append(targets.copy())
+            return bce_loss(logits, targets)
+
+        monkeypatch.setattr(training, "bce_loss", spy)
+        order = np.random.default_rng(11).permutation(trainer.keys.shape[0])
+        training.train_epoch(trainer.model, trainer.keys, trainer.targets, cfg,
+                             trainer.adam, np.random.default_rng(11), cfg.lr)
+        keys = trainer.keys[order]
+        y = np.concatenate(batches)
+        for i, (s, p, t) in enumerate(keys.tolist()):
+            expected = smooth_targets(trainer.targets[(s, p, t)],
+                                      ds.vocab.num_entities, cfg.label_smoothing)
+            assert np.array_equal(y[i], expected)
+
     def test_validation_records_on_interval(self):
         ds = Dataset.from_dir(synthetic_dataset_dir())
         cfg = TrainConfig(variant="t", dim_entity=8, rank=2, epochs=4,
@@ -309,6 +422,15 @@ class TestCheckpoints:
         blob = (path / "entity.bin").read_bytes()
         (path / "entity.bin").write_bytes(blob[:-8])
         with pytest.raises(CheckpointShapeError):
+            load_checkpoint(path, ds)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_tensor_rejected(self, tmp_path, bad):
+        ds, _, path = self.make_trained(tmp_path)
+        values = np.fromfile(path / "relation_proj.bin", dtype="<f8")
+        values[3] = bad
+        values.tofile(path / "relation_proj.bin")
+        with pytest.raises(CheckpointCorruptError, match="relation_proj"):
             load_checkpoint(path, ds)
 
     def test_missing_tensor_file(self, tmp_path):
