@@ -5,7 +5,7 @@ The package factors into:
 * :mod:`timekge.kernels` / :mod:`timekge.gradcheck` -- reference dense
   kernels and finite-difference gradient checking;
 * :mod:`timekge.datasets` -- quadruple parsing, vocabularies, reciprocal
-  augmentation, time resampling, 1-N target grouping;
+  augmentation, time resampling, the sorted ``(s, p, t)`` target index;
 * :mod:`timekge.time_encoding` -- per-timestamp and cycle-decomposition
   time encoders;
 * :mod:`timekge.scoring` -- the five fusion variants with hand-derived
@@ -18,6 +18,7 @@ The package factors into:
 from .datasets import (
     Dataset,
     RawQuadruple,
+    TargetIndex,
     Vocab,
     augment_reciprocal,
     build_vocab,
@@ -72,7 +73,7 @@ __version__ = "0.1.0"
 __all__ = [
     "AdamState", "COMPONENTS", "CycleIndices", "CyclicTimeEncoder", "Dataset",
     "GradCheckReport", "Model", "ModelParams", "RankingMetrics", "RawQuadruple",
-    "SimpleTimeEncoder", "TrainConfig", "Trainer", "Variant", "Vocab",
+    "SimpleTimeEncoder", "TargetIndex", "TrainConfig", "Trainer", "Variant", "Vocab",
     "adam_step", "apply_dropout", "augment_reciprocal", "bce_loss",
     "build_filter", "build_vocab", "cycle_cardinalities", "dataset_stats",
     "decay_lr", "decompose_date", "encode_cyclic", "encode_simple", "evaluate",

@@ -14,13 +14,16 @@ answers both query directions.
 import datetime as dt
 import hashlib
 import importlib.resources
+import math
+import operator
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import DataError, OovError
+from .errors import DataError, MissingKeyError, OovError
 
 SPLIT_NAMES = ("train", "valid", "test")
 
@@ -206,12 +209,95 @@ def resample_dates(dates: Sequence[dt.date], rate: int) -> list[dt.date]:
     return [dates[j] for j in range(0, len(dates), rate)]
 
 
-def group_targets(quads: np.ndarray) -> dict[tuple[int, int, int], np.ndarray]:
+class TargetIndex(Mapping):
+    """Immutable ``(s, p, t) -> objects`` index over facts, stored as CSR.
+
+    ``key_array`` (n, 3) holds the distinct keys in lexicographic order;
+    the sorted unique objects of key ``i`` are
+    ``objects[offsets[i]:offsets[i + 1]]``. As a mapping, ``idx[(s, p, t)]``
+    returns that (read-only) slice and iteration yields key tuples in
+    order. :meth:`lookup` resolves a whole batch of keys at once.
+
+    Keys are found by binary search over ``(s * P + p) * T + t``, where
+    ``bounds = (S, P, T)`` exceed every component seen at build time. A
+    component outside its bound is never found, so no key aliases another.
+    """
+
+    def __init__(self, quads):
+        quads = np.asarray(quads, dtype=np.int64).reshape(-1, 4)
+        if quads.size and quads.min() < 0:
+            raise DataError("facts hold a negative index")
+        spt = quads[:, [0, 1, 3]]
+        self.bounds = tuple(int(b) + 1 for b in spt.max(axis=0)) if quads.size else (0, 0, 0)
+        if math.prod(self.bounds) > np.iinfo(np.int64).max:
+            raise DataError(f"(s, p, t) bounds {self.bounds} overflow int64 key packing")
+        codes = self._pack(spt)
+        order = np.lexsort((quads[:, 2], codes))
+        codes, objects = codes[order], quads[order, 2]
+        fresh = np.ones(codes.size, dtype=bool)  # first of each (key, object)
+        fresh[1:] = (codes[1:] != codes[:-1]) | (objects[1:] != objects[:-1])
+        codes, objects, order = codes[fresh], objects[fresh], order[fresh]
+        starts = np.flatnonzero(np.diff(codes, prepend=-1))
+        self._codes = codes[starts]
+        self.key_array = spt[order[starts]]
+        self.offsets = np.append(starts, codes.size)
+        self.objects = objects
+        for array in (self._codes, self.key_array, self.offsets, self.objects):
+            array.flags.writeable = False
+
+    def _pack(self, spt: np.ndarray) -> np.ndarray:
+        _, num_p, num_t = self.bounds
+        return (spt[:, 0] * num_p + spt[:, 1]) * num_t + spt[:, 2]
+
+    def __len__(self) -> int:
+        return self.key_array.shape[0]
+
+    def __iter__(self):
+        return map(tuple, self.key_array.tolist())
+
+    def __getitem__(self, key) -> np.ndarray:
+        try:
+            s, p, t = (operator.index(k) for k in key)
+        except (TypeError, ValueError):
+            raise KeyError(key) from None
+        num_s, num_p, num_t = self.bounds
+        if not (0 <= s < num_s and 0 <= p < num_p and 0 <= t < num_t):
+            raise KeyError(key)
+        code = (s * num_p + p) * num_t + t
+        i = int(np.searchsorted(self._codes, code))
+        if i == len(self) or self._codes[i] != code:
+            raise KeyError(key)
+        return self.objects[self.offsets[i]:self.offsets[i + 1]]
+
+    def lookup(self, keys) -> tuple[np.ndarray, np.ndarray]:
+        """Objects of a batch of ``(s, p, t)`` rows, flattened.
+
+        Returns ``(rows, objects)``: ``objects[j]`` is known for key
+        ``keys[rows[j]]``, in batch order and sorted within each key.
+        Raises :class:`MissingKeyError` naming the first key not indexed.
+        """
+        keys = np.asarray(keys, dtype=np.int64).reshape(-1, 3)
+        found = np.zeros(keys.shape[0], dtype=bool)
+        pos = np.zeros(keys.shape[0], dtype=np.int64)
+        if len(self):
+            upper = np.array(self.bounds) - 1
+            inside = ((keys >= 0) & (keys <= upper)).all(axis=1)
+            codes = self._pack(np.clip(keys, 0, upper))
+            pos = np.minimum(np.searchsorted(self._codes, codes), len(self) - 1)
+            found = inside & (self._codes[pos] == codes)
+        if not found.all():
+            raise MissingKeyError(tuple(keys[np.argmin(found)].tolist()))
+        starts = self.offsets[pos]
+        counts = self.offsets[pos + 1] - starts
+        rows = np.repeat(np.arange(keys.shape[0]), counts)
+        # flat position = start of the row's key + rank within the row
+        flat = np.arange(rows.size) + np.repeat(starts - (np.cumsum(counts) - counts), counts)
+        return rows, self.objects[flat]
+
+
+def group_targets(quads: np.ndarray) -> TargetIndex:
     """Group facts by ``(s, p, t)``; values are sorted unique object arrays."""
-    groups: dict[tuple[int, int, int], set[int]] = {}
-    for s, p, o, t in np.asarray(quads, dtype=np.int64).reshape(-1, 4):
-        groups.setdefault((int(s), int(p), int(t)), set()).add(int(o))
-    return {key: np.array(sorted(objs), dtype=np.int64) for key, objs in groups.items()}
+    return TargetIndex(quads)
 
 
 def dataset_stats(vocab: Vocab, train, valid, test) -> dict:

@@ -17,6 +17,14 @@ class OovError(DataError):
     """A token is absent from the vocabulary it should have come from."""
 
 
+class MissingKeyError(DataError):
+    """An ``(s, p, t)`` key looked up in a batch is not in the index."""
+
+    def __init__(self, key: tuple[int, int, int]):
+        super().__init__(f"no entry for key {key}")
+        self.key = key
+
+
 class GradCheckError(TimekgeError):
     """A finite-difference probe produced a non-finite loss."""
 

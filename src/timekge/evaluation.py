@@ -15,13 +15,11 @@ import csv
 from dataclasses import dataclass
 import numpy as np
 
-from .datasets import Vocab, group_targets, resample_dates, resample_time
-from .errors import DataError, NumericError
-
-FilterIndex = dict[tuple[int, int, int], np.ndarray]
+from .datasets import TargetIndex, Vocab, group_targets, resample_dates, resample_time
+from .errors import DataError, MissingKeyError, NumericError
 
 
-def build_filter(splits) -> FilterIndex:
+def build_filter(splits) -> TargetIndex:
     """Union of (s, p, t) -> objects groupings over the given splits."""
     merged = np.concatenate([np.asarray(s).reshape(-1, 4) for s in splits], axis=0) \
         if splits else np.zeros((0, 4), dtype=np.int64)
@@ -93,18 +91,21 @@ class RankingMetrics:
         }
 
 
-def evaluate(model, quads: np.ndarray, flt: FilterIndex | None,
+def evaluate(model, quads: np.ndarray, flt: TargetIndex | None,
              mode: str = "filtered", batch_size: int = 1024) -> RankingMetrics:
     """Rank the true object of every query in a reciprocal-augmented split.
 
     Dropout stays off, so evaluation is deterministic. ``tail`` metrics
     cover the original facts, ``head`` their reciprocal twins. Raises
-    :class:`NumericError` if any logit is non-finite.
+    :class:`NumericError` if any logit is non-finite. The filter is the
+    :class:`TargetIndex` that :func:`build_filter` returns; the logits
+    ``model.forward`` returns are masked in place.
     """
     if mode not in ("filtered", "raw"):
         raise DataError(f"unknown evaluation mode {mode!r}")
-    if mode == "filtered" and flt is None:
-        raise DataError("filtered evaluation needs a filter index")
+    if mode == "filtered" and not isinstance(flt, TargetIndex):
+        raise DataError("filtered evaluation needs the filter index build_filter returns, "
+                        f"got {type(flt).__name__}")
     quads = np.asarray(quads, dtype=np.int64).reshape(-1, 4)
     num_relations = model.params.relation.shape[0] // 2
     ranks = np.empty(quads.shape[0])
@@ -116,21 +117,19 @@ def evaluate(model, quads: np.ndarray, flt: FilterIndex | None,
         if not np.isfinite(logits).all():
             raise NumericError(
                 f"non-finite logits for queries {start}..{start + chunk.shape[0] - 1}")
-        for i, (s, p, o, t) in enumerate(chunk):
-            row = logits[i]
-            if mode == "filtered":
-                known = flt.get((int(s), int(p), int(t)))
-                if known is None:
-                    raise DataError(
-                        f"no filter entry for key ({s}, {p}, {t}); "
-                        "the filter must be built from all splits")
-                others = known[known != o]
-                row = row.copy()
-                row[others] = -np.inf
-            s_true = row[o]
-            greater = int((row > s_true).sum())
-            ties = int((row == s_true).sum()) - 1
-            ranks[start + i] = 1.0 + greater + 0.5 * ties
+        true = chunk[:, 2]
+        if mode == "filtered":
+            try:
+                rows, known = flt.lookup(chunk[:, [0, 1, 3]])
+            except MissingKeyError as exc:
+                raise DataError(f"no filter entry for key {exc.key}; "
+                                "the filter must be built from all splits") from None
+            other = known != true[rows]
+            logits[rows[other], known[other]] = -np.inf
+        s_true = logits[np.arange(chunk.shape[0]), true][:, None]
+        greater = np.count_nonzero(logits > s_true, axis=1)
+        ties = np.count_nonzero(logits == s_true, axis=1) - 1
+        ranks[start:start + chunk.shape[0]] = 1.0 + greater + 0.5 * ties
     is_head = quads[:, 1] >= num_relations
     tail = DirectionMetrics.from_ranks(ranks[~is_head])
     head = DirectionMetrics.from_ranks(ranks[is_head])
@@ -146,13 +145,21 @@ def evaluate(model, quads: np.ndarray, flt: FilterIndex | None,
 # count exports
 # ---------------------------------------------------------------------------
 
+def _timestamps(quads: np.ndarray, num_timestamps: int) -> np.ndarray:
+    """The timestamp column, refused if any index falls outside the table."""
+    t = quads[:, 3]
+    if t.size and not 0 <= t.min() <= t.max() < num_timestamps:
+        raise DataError(f"timestamp index outside [0, {num_timestamps})")
+    return t
+
+
 def relation_time_counts(quads: np.ndarray, num_relations: int,
                          num_timestamps: int) -> np.ndarray:
     """Fact counts per (original relation, timestamp); reciprocals folded."""
-    counts = np.zeros((num_relations, num_timestamps), dtype=np.int64)
-    for _, p, _, t in np.asarray(quads, dtype=np.int64).reshape(-1, 4):
-        counts[p % num_relations, t] += 1
-    return counts
+    quads = np.asarray(quads, dtype=np.int64).reshape(-1, 4)
+    cells = (quads[:, 1] % num_relations) * num_timestamps + _timestamps(quads, num_timestamps)
+    return np.bincount(cells, minlength=num_relations * num_timestamps).astype(
+        np.int64, copy=False).reshape(num_relations, num_timestamps)
 
 
 def export_time_relation_heatmap(quads: np.ndarray, vocab: Vocab, path,
@@ -177,9 +184,8 @@ def export_time_concentration(quads: np.ndarray, vocab: Vocab, path,
                               rate: int = 1) -> np.ndarray:
     """CSV of total fact counts per (resampled) timestamp."""
     resampled, num_t = resample_time(quads, rate, vocab.num_timestamps)
-    counts = np.zeros(num_t, dtype=np.int64)
-    for t in resampled[:, 3]:
-        counts[t] += 1
+    counts = np.bincount(_timestamps(resampled, num_t), minlength=num_t).astype(
+        np.int64, copy=False)
     labels = [d.isoformat() for d in resample_dates(vocab.dates, rate)]
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)

@@ -12,6 +12,8 @@ import dataclasses
 import json
 import logging
 import math
+import os
+import shutil
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -19,7 +21,14 @@ from pathlib import Path
 import numpy as np
 
 from . import evaluation
-from .datasets import Dataset, augment_reciprocal, group_targets, resample_dates, resample_time
+from .datasets import (
+    Dataset,
+    TargetIndex,
+    augment_reciprocal,
+    group_targets,
+    resample_dates,
+    resample_time,
+)
 from .errors import (
     CheckpointCorruptError,
     CheckpointShapeError,
@@ -240,8 +249,7 @@ class EpochRecord:
 # epoch loop
 # ---------------------------------------------------------------------------
 
-def train_epoch(model: Model, keys: np.ndarray,
-                targets: dict[tuple[int, int, int], np.ndarray],
+def train_epoch(model: Model, keys: np.ndarray, targets: TargetIndex,
                 config: TrainConfig, adam: AdamState,
                 rng: np.random.Generator, lr: float, epoch: int = 0) -> float:
     """One pass over shuffled 1-N keys; returns the mean per-key loss."""
@@ -251,12 +259,10 @@ def train_epoch(model: Model, keys: np.ndarray,
     total = 0.0
     for start in range(0, keys.shape[0], config.batch_size):
         batch = keys[order[start:start + config.batch_size]]
-        objects = [targets[key] for key in map(tuple, batch.tolist())]
-        rows = np.repeat(np.arange(batch.shape[0]) * num_entities,
-                         [objs.size for objs in objects])
+        rows, objects = targets.lookup(batch)
         y = np.full((batch.shape[0], num_entities),
                     config.label_smoothing / num_entities)
-        y.reshape(-1)[rows + np.concatenate(objects)] += 1.0 - config.label_smoothing
+        y.reshape(-1)[rows * num_entities + objects] += 1.0 - config.label_smoothing
         logits, cache = model.forward(
             batch[:, 0], batch[:, 1], batch[:, 2], training=True,
             dropout_input=config.dropout_input,
@@ -292,7 +298,7 @@ class Trainer:
         self.dates = resample_dates(self.vocab.dates, rate)
 
         self.targets = group_targets(self.train_quads)
-        self.keys = np.array(sorted(self.targets), dtype=np.int64).reshape(-1, 3)
+        self.keys = self.targets.key_array
         self.filter = evaluation.build_filter(
             [self.train_quads, self.valid_quads, self.test_quads])
 
@@ -353,9 +359,18 @@ def save_checkpoint(directory, params: ModelParams, *, vocab_hashes: dict,
                     epoch: int, seed: int, time_sampling_rate: int = 1,
                     num_timestamps: int | None = None,
                     config: dict | None = None) -> None:
-    """Write a manifest plus one raw little-endian float64 file per tensor."""
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
+    """Write a manifest plus one raw little-endian float64 file per tensor.
+
+    The files are written into a sibling ``<name>.tmp/`` that replaces
+    ``directory`` only once every file is complete, so a failure while
+    overwriting a checkpoint leaves the previous one in place. An existing
+    ``directory`` must be empty or hold a checkpoint manifest.
+    """
+    directory = Path(directory).absolute()
+    empty_dir = directory.is_dir() and not any(directory.iterdir())
+    if directory.exists() and not empty_dir and not (directory / "manifest.json").is_file():
+        raise CheckpointCorruptError(
+            f"refusing to replace {directory}: it holds no checkpoint manifest")
     tensors = params.tensors()
     manifest = {
         "format": CHECKPOINT_FORMAT,
@@ -379,12 +394,27 @@ def save_checkpoint(directory, params: ModelParams, *, vocab_hashes: dict,
     }
     if config is not None:
         manifest["config"] = config
-    with open(directory / "manifest.json", "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    for name, tensor in tensors.items():
-        with open(directory / f"{name}.bin", "wb") as fh:
-            fh.write(np.ascontiguousarray(tensor, dtype="<f8").tobytes())
+    staging = directory.with_name(directory.name + ".tmp")
+    shutil.rmtree(staging, ignore_errors=True)  # left by an interrupted save
+    staging.mkdir(parents=True)
+    try:
+        with open(staging / "manifest.json", "w", encoding="utf-8") as fh:
+            json.dump(manifest, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+        for name, tensor in tensors.items():
+            with open(staging / f"{name}.bin", "wb") as fh:
+                fh.write(np.ascontiguousarray(tensor, dtype="<f8").tobytes())
+    except BaseException:
+        shutil.rmtree(staging, ignore_errors=True)
+        raise
+    # a directory cannot be renamed over a non-empty one, so the previous
+    # checkpoint steps aside to <name>.old until the new one is in place
+    retired = directory.with_name(directory.name + ".old")
+    shutil.rmtree(retired, ignore_errors=True)
+    if directory.exists():
+        os.replace(directory, retired)
+    os.replace(staging, directory)
+    shutil.rmtree(retired, ignore_errors=True)
 
 
 def _expected_layout(manifest: dict) -> dict[str, tuple[int, ...]]:

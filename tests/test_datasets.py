@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from timekge.datasets import (
     Dataset,
     RawQuadruple,
+    TargetIndex,
     augment_reciprocal,
     build_vocab,
     dataset_stats,
@@ -20,7 +21,7 @@ from timekge.datasets import (
     resample_time,
     synthetic_dataset_dir,
 )
-from timekge.errors import DataError, OovError
+from timekge.errors import DataError, MissingKeyError, OovError
 
 
 def raw(s, p, o, date):
@@ -207,6 +208,94 @@ class TestGrouping:
             if o in targets[(int(s), int(p), int(t))]
         )
         assert covered == quads.shape[0]
+
+
+def dict_of_sets_targets(quads):
+    """Loop reference: (s, p, t) -> sorted unique objects."""
+    groups = {}
+    for s, p, o, t in np.asarray(quads).tolist():
+        groups.setdefault((s, p, t), set()).add(o)
+    return {key: np.array(sorted(objs), dtype=np.int64) for key, objs in groups.items()}
+
+
+def random_quads(rng, size, bounds=(6, 4, 6, 5)):
+    quads = np.stack([rng.integers(0, b, size=size) for b in bounds], axis=1)
+    # repeat some facts verbatim so that duplicates must be dropped
+    return np.concatenate([quads, quads[rng.integers(0, size, size=size // 3)]])
+
+
+class TestTargetIndex:
+    @pytest.mark.parametrize("seed", range(5))
+    def test_matches_dict_of_sets_reference(self, seed):
+        rng = np.random.default_rng(seed)
+        quads = random_quads(rng, 300)
+        index = group_targets(quads)
+        reference = dict_of_sets_targets(quads)
+        assert list(index) == sorted(reference)
+        np.testing.assert_array_equal(index.key_array, sorted(reference))
+        for key, objs in reference.items():
+            assert index[key].dtype == np.int64
+            np.testing.assert_array_equal(index[key], objs)
+        rows, objects = index.lookup(index.key_array[::-1])
+        expected = [reference[key] for key in sorted(reference)[::-1]]
+        np.testing.assert_array_equal(objects, np.concatenate(expected))
+        np.testing.assert_array_equal(
+            rows, np.repeat(np.arange(len(expected)), [e.size for e in expected]))
+
+    def test_is_a_read_only_mapping(self):
+        index = group_targets(np.array([[0, 1, 2, 5], [0, 1, 3, 5], [4, 0, 1, 0]]))
+        assert isinstance(index, TargetIndex)
+        assert (0, 1, 5) in index and (0, 1, 4) not in index
+        assert index.get((9, 9, 9)) is None
+        assert dict(index.items()).keys() == {(0, 1, 5), (4, 0, 0)}
+        assert [v.tolist() for v in index.values()] == [[2, 3], [1]]
+        with pytest.raises(ValueError):
+            index[(0, 1, 5)][0] = 7
+        assert index != {}
+
+    def test_out_of_range_components_never_alias(self):
+        # bounds are S=3, P=2, T=2: (0, 2, 1) packs like (1, 0, 1) and
+        # clamps to (0, 1, 1), both of which are indexed
+        index = group_targets(np.array([[1, 0, 4, 1], [2, 1, 5, 0], [0, 1, 6, 1]]))
+        assert index.bounds == (3, 2, 2)
+        for key in [(0, 2, 1), (0, 1, 3), (-1, 0, 1), (1, -1, 1), (3, 0, 0),
+                    (1, 0, 1, 0), (1, 0), (1.0, 0, 1), "abc", 7]:
+            with pytest.raises(KeyError):
+                index[key]
+            assert key not in index
+        np.testing.assert_array_equal(index[(1, 0, 1)], [4])
+        np.testing.assert_array_equal(index[(np.int64(2), np.int32(1), 0)], [5])
+
+    def test_batch_lookup_names_first_missing_key(self):
+        index = group_targets(np.array([[1, 0, 4, 1], [2, 1, 5, 0], [0, 1, 6, 1]]))
+        for missing in ([0, 2, 1], [1, 0, -1], [2, 1, 1], [5, 0, 0]):
+            batch = np.array([[2, 1, 0], missing, [0, 2, 1]])
+            with pytest.raises(MissingKeyError) as info:
+                index.lookup(batch)
+            assert isinstance(info.value, DataError)
+            assert info.value.key == tuple(missing)
+            assert str(tuple(missing)) in str(info.value)
+
+    def test_empty(self):
+        index = group_targets(np.zeros((0, 4), dtype=np.int64))
+        assert len(index) == 0 and list(index) == []
+        assert index.key_array.shape == (0, 3)
+        rows, objects = index.lookup(np.zeros((0, 3), dtype=np.int64))
+        assert rows.size == objects.size == 0
+        with pytest.raises(MissingKeyError):
+            index.lookup([[0, 0, 0]])
+
+    def test_negative_index_refused(self):
+        with pytest.raises(DataError, match="negative"):
+            group_targets(np.array([[0, 0, 1, 0], [0, -1, 1, 0]]))
+
+    def test_key_space_overflow_refused(self):
+        big = np.array([[2**40, 2**15, 0, 2**10]])
+        with pytest.raises(DataError, match="overflow"):
+            group_targets(big)
+        # just inside int64: S * P * T = 2**62
+        index = group_targets(np.array([[2**40 - 1, 2**12 - 1, 3, 2**10 - 1]]))
+        np.testing.assert_array_equal(index[(2**40 - 1, 2**12 - 1, 2**10 - 1)], [3])
 
 
 class TestStatsAndLoading:

@@ -2,13 +2,17 @@
 
 import csv
 import datetime as dt
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from timekge.datasets import Dataset, Vocab, augment_reciprocal, synthetic_dataset_dir
 from timekge.errors import DataError, NumericError
 from timekge.evaluation import (
+    DirectionMetrics,
     build_filter,
     evaluate,
     export_time_concentration,
@@ -226,6 +230,15 @@ class TestEvaluate:
         with pytest.raises(DataError, match="filter"):
             evaluate(model, quads, {}, mode="filtered")
 
+    def test_key_missing_from_filter_index_is_hard_error(self):
+        quads = augment_reciprocal(np.array([[0, 0, 1, 0], [2, 0, 1, 0]]), 1)
+        model = random_model(num_entities=3, num_relations=1, num_timestamps=1,
+                             seed=14)
+        flt = build_filter([quads[:1]])
+        with pytest.raises(DataError, match=r"no filter entry for key \(2, 0, 0\); "
+                                            "the filter must be built from all splits"):
+            evaluate(model, quads, flt, mode="filtered")
+
     def test_hits_ordering_invariant(self):
         facts = synthetic_kg(num_facts=200, seed=15)
         quads = augment_reciprocal(facts, 5)
@@ -233,6 +246,69 @@ class TestEvaluate:
         metrics = evaluate(random_model(seed=16), quads, flt)
         assert metrics.hits1 <= metrics.hits3 <= metrics.hits10
         assert metrics.mrr >= metrics.hits1
+
+
+class TableScorer:
+    """Duck-typed model whose logits are a fixed (s, p, t) -> row table."""
+
+    def __init__(self, table):
+        self.table = table
+        self.params = SimpleNamespace(relation=np.zeros((table.shape[1], 1)))
+
+    def forward(self, s, p, t, training=False):
+        return self.table[s, p, t], None  # fancy indexing returns a fresh array
+
+
+@st.composite
+def ranking_problems(draw):
+    """Small random splits, a tie-heavy score table and a chunk size."""
+    num_e, num_r, num_t = (draw(st.integers(2, 6)), draw(st.integers(1, 3)),
+                           draw(st.integers(1, 3)))
+    fact = st.tuples(st.integers(0, num_e - 1), st.integers(0, num_r - 1),
+                     st.integers(0, num_e - 1), st.integers(0, num_t - 1))
+    splits = [augment_reciprocal(np.array(draw(st.lists(fact, min_size=low, max_size=10)),
+                                          dtype=np.int64).reshape(-1, 4), num_r)
+              for low in (1, 0, 0)]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    # one or a few score levels: many candidates tie with the true object
+    levels = draw(st.integers(1, 3))
+    table = rng.integers(0, levels, size=(num_e, 2 * num_r, num_t, num_e)).astype(float)
+    return splits, table, draw(st.integers(1, 7))
+
+
+class TestRankingProperty:
+    @settings(max_examples=80, deadline=None)
+    @given(ranking_problems())
+    def test_evaluate_equals_per_query_rank_of(self, problem):
+        splits, table, batch_size = problem
+        flt = build_filter(splits)
+        queries = np.concatenate(splits)
+        model = TableScorer(table)
+        for mode in ("filtered", "raw"):
+            ranks = np.array([
+                rank_of(table[s, p, t], o,
+                        [k for k in flt[(s, p, t)] if k != o] if mode == "filtered" else ())
+                for s, p, o, t in queries.tolist()])
+            got = evaluate(model, queries, flt, mode=mode, batch_size=batch_size)
+            assert got.mrr == np.mean(1.0 / ranks)
+            for k, hits in ((1, got.hits1), (3, got.hits3), (10, got.hits10)):
+                assert hits == np.mean(ranks <= k)
+            is_head = queries[:, 1] >= table.shape[1] // 2
+            assert got.tail == DirectionMetrics.from_ranks(ranks[~is_head])
+            assert got.head == DirectionMetrics.from_ranks(ranks[is_head])
+
+    @settings(max_examples=40, deadline=None)
+    @given(ranking_problems(), st.data())
+    def test_non_finite_row_raises(self, problem, data):
+        splits, table, batch_size = problem
+        queries = np.concatenate(splits)
+        s, p, _, t = queries[data.draw(st.integers(0, queries.shape[0] - 1))]
+        cand = data.draw(st.integers(0, table.shape[0] - 1))
+        table[s, p, t, cand] = data.draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+        for mode in ("filtered", "raw"):
+            with pytest.raises(NumericError):
+                evaluate(TableScorer(table), queries, build_filter(splits), mode=mode,
+                         batch_size=batch_size)
 
 
 class TestNonFiniteLogits:
@@ -333,6 +409,36 @@ class TestExports:
         conc = export_time_concentration(quads, vocab, tmp_path / "c.csv")
         np.testing.assert_array_equal(conc, heat.sum(axis=0))
         assert conc.sum() == 150
+
+    @pytest.mark.parametrize("size", [0, 1, 400])
+    def test_counts_match_loop_reference(self, tmp_path, size):
+        rng = np.random.default_rng(size)
+        vocab = self.make_vocab(num_relations=3, num_days=7)
+        quads = augment_reciprocal(np.stack([
+            rng.integers(0, 2, size=size), rng.integers(0, 3, size=size),
+            rng.integers(0, 2, size=size), rng.integers(0, 7, size=size),
+        ], axis=1), 3)
+        for rate in (1, 2, 7):
+            num_t = -(-7 // rate)
+            heat = np.zeros((3, num_t), dtype=np.int64)
+            conc = np.zeros(num_t, dtype=np.int64)
+            for _, p, _, t in quads.tolist():
+                heat[p % 3, t // rate] += 1
+                conc[t // rate] += 1
+            got_heat = export_time_relation_heatmap(quads, vocab, tmp_path / "h.csv", rate=rate)
+            got_conc = export_time_concentration(quads, vocab, tmp_path / "c.csv", rate=rate)
+            assert got_heat.dtype == got_conc.dtype == np.int64
+            np.testing.assert_array_equal(got_heat, heat)
+            np.testing.assert_array_equal(got_conc, conc)
+
+    @pytest.mark.parametrize("t", [-1, 6])
+    def test_timestamp_outside_table_refused(self, tmp_path, t):
+        # a cell index p * T + t would otherwise land in a neighbouring row
+        quads = np.array([[0, 0, 1, 0], [0, 1, 1, t]])
+        with pytest.raises(DataError, match="timestamp"):
+            relation_time_counts(quads, 3, 6)
+        with pytest.raises(DataError, match="timestamp"):
+            export_time_concentration(quads, self.make_vocab(), tmp_path / "c.csv")
 
     def test_empty_kg_empty_body(self, tmp_path):
         vocab = Vocab(entities=[], relations=[], dates=[])

@@ -438,3 +438,57 @@ class TestCheckpoints:
         (path / "relation.bin").unlink()
         with pytest.raises(CheckpointCorruptError):
             load_checkpoint(path, ds)
+
+    def save(self, path, trainer, epoch):
+        save_checkpoint(path, trainer.model.params, vocab_hashes=trainer.vocab.hashes(),
+                        epoch=epoch, seed=trainer.config.seed,
+                        num_timestamps=trainer.num_timestamps)
+
+    def test_failed_overwrite_keeps_previous_checkpoint(self, tmp_path, monkeypatch):
+        ds, trainer, _ = self.make_trained(tmp_path)
+        path = tmp_path / "checkpoint-best"
+        self.save(path, trainer, epoch=0)
+        before = {name: (path / f"{name}.bin").read_bytes()
+                  for name in trainer.model.params.tensors()}
+        for tensor in trainer.model.params.tensors().values():
+            tensor += 1.0
+        written = []
+
+        def failing_open(file, mode="r", *args, **kwargs):
+            if str(file).endswith(".bin") and "w" in mode:
+                written.append(file)
+                if len(written) == 3:
+                    raise OSError("disk full")
+            return open(file, mode, *args, **kwargs)
+
+        monkeypatch.setattr(training, "open", failing_open, raising=False)
+        with pytest.raises(OSError, match="disk full"):
+            self.save(path, trainer, epoch=1)
+        monkeypatch.undo()
+        params, manifest = load_checkpoint(path, ds)
+        assert manifest["epoch"] == 0
+        for name, tensor in params.tensors().items():
+            assert np.ascontiguousarray(tensor, dtype="<f8").tobytes() == before[name]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["checkpoint-best", "ckpt"]
+
+        self.save(path, trainer, epoch=2)
+        params, manifest = load_checkpoint(path, ds)
+        assert manifest["epoch"] == 2
+        assert params.entity.tobytes() == trainer.model.params.entity.tobytes()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["checkpoint-best", "ckpt"]
+
+    def test_leftover_staging_directory_is_replaced(self, tmp_path):
+        ds, trainer, _ = self.make_trained(tmp_path)
+        path = tmp_path / "checkpoint-last"
+        (tmp_path / "checkpoint-last.tmp").mkdir()
+        (tmp_path / "checkpoint-last.tmp" / "entity.bin").write_bytes(b"partial")
+        self.save(path, trainer, epoch=1)
+        assert not (tmp_path / "checkpoint-last.tmp").exists()
+        assert load_checkpoint(path, ds)[1]["epoch"] == 1
+
+    def test_refuses_to_replace_a_directory_without_manifest(self, tmp_path):
+        ds, trainer, _ = self.make_trained(tmp_path)
+        (tmp_path / "notes.txt").write_text("keep")
+        with pytest.raises(CheckpointCorruptError, match="refusing"):
+            self.save(tmp_path, trainer, epoch=1)
+        assert (tmp_path / "notes.txt").read_text() == "keep"
