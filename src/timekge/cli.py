@@ -7,7 +7,7 @@ the effective configuration is echoed into the output directory so a
 run can be reproduced from its artifacts alone.
 
 Exit codes: 0 success, 1 configuration error, 2 data/dataset error,
-3 numeric failure (non-finite loss).
+3 numeric failure (non-finite loss or evaluation logits).
 """
 
 import argparse
@@ -18,7 +18,7 @@ import sys
 from dataclasses import dataclass
 from pathlib import Path
 
-from .datasets import Dataset
+from .datasets import Dataset, prepare_splits
 from .errors import (
     CheckpointCorruptError,
     CheckpointShapeError,
@@ -28,7 +28,12 @@ from .errors import (
     NumericError,
     TimekgeError,
 )
-from .evaluation import export_time_concentration, export_time_relation_heatmap
+from .evaluation import (
+    build_filter,
+    evaluate,
+    export_time_concentration,
+    export_time_relation_heatmap,
+)
 from .scoring import Model
 from .time_encoding import decompose_date
 from .training import (
@@ -43,36 +48,21 @@ ENCODE_TIME_HEADER = ("date,dow,dom,wom,dos,wos,mos,doy,woy,moy,soy,"
 
 
 @dataclass
-class RunConfig:
+class RunConfig(TrainConfig):
     """Everything a training run needs; JSON config files mirror these names."""
 
     dataset: str = ""
     out: str = ""
-    variant: str = "tnt"
-    encoder: str = "ste"
-    dim_entity: int = 300
-    dim_relation: int | None = None
-    dim_time: int | None = None
-    rank: int = 32
-    lr: float = 0.01
-    decay: float = 0.99
-    batch_size: int = 1000
-    label_smoothing: float = 0.01
-    dropout_input: float = 0.1
-    dropout_hidden: float = 0.2
-    epochs: int = 50
-    seed: int = 0
-    time_sampling_rate: int = 1
     eval_interval: int = 5
     checkpoint_policy: str = "best"
     checkpoint_every: int = 10
 
     def train_config(self) -> TrainConfig:
-        fields = {f.name for f in dataclasses.fields(TrainConfig)}
-        return TrainConfig(**{k: v for k, v in dataclasses.asdict(self).items()
-                              if k in fields})
+        return TrainConfig(**{f.name: getattr(self, f.name)
+                              for f in dataclasses.fields(TrainConfig)})
 
     def validate(self) -> None:
+        super().validate()
         if not self.dataset:
             raise ConfigError("a dataset directory is required")
         if not self.out:
@@ -85,7 +75,6 @@ class RunConfig:
                 "(expected best, every or last)")
         if self.checkpoint_every < 1:
             raise ConfigError("checkpoint interval must be >= 1")
-        self.train_config().validate()
 
 
 def load_run_config(config_path: str | None, overrides: dict) -> RunConfig:
@@ -119,14 +108,7 @@ def _print_json(payload: dict) -> None:
 # ---------------------------------------------------------------------------
 
 def cmd_train(args) -> int:
-    overrides = {
-        name: getattr(args, name.replace("-", "_"))
-        for name in ("dataset", "out", "variant", "encoder", "dim_entity",
-                     "dim_relation", "dim_time", "rank", "lr", "decay",
-                     "batch_size", "label_smoothing", "dropout_input",
-                     "dropout_hidden", "epochs", "seed", "time_sampling_rate",
-                     "eval_interval", "checkpoint_policy", "checkpoint_every")
-    }
+    overrides = {f.name: getattr(args, f.name) for f in dataclasses.fields(RunConfig)}
     config = load_run_config(args.config, overrides)
     config.validate()
 
@@ -183,21 +165,9 @@ def cmd_train(args) -> int:
 def cmd_evaluate(args) -> int:
     dataset = Dataset.from_dir(args.dataset)
     params, manifest = load_checkpoint(args.checkpoint, dataset)
-    model = Model(params)
-    rate = int(manifest.get("time_sampling_rate", 1))
-
-    from .datasets import augment_reciprocal, resample_time
-    from .evaluation import build_filter, evaluate
-
-    num_rel = dataset.vocab.num_relations
-    num_t = dataset.vocab.num_timestamps
-    splits = {
-        name: resample_time(augment_reciprocal(getattr(dataset, name), num_rel),
-                            rate, num_t)[0]
-        for name in ("train", "valid", "test")
-    }
+    splits, _ = prepare_splits(dataset, int(manifest.get("time_sampling_rate", 1)))
     flt = build_filter(list(splits.values()))
-    metrics = evaluate(model, splits[args.split], flt, mode=args.mode)
+    metrics = evaluate(Model(params), splits[args.split], flt, mode=args.mode)
     _print_json({"split": args.split, "mode": args.mode, **metrics.to_dict()})
     return 0
 

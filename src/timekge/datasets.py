@@ -202,6 +202,18 @@ def resample_time(quads: np.ndarray, rate: int, num_timestamps: int
     return out, -(-num_timestamps // rate)
 
 
+def prepare_splits(dataset: "Dataset", rate: int = 1) -> tuple[dict[str, np.ndarray], int]:
+    """The facts a model trains and ranks on: every split reciprocal-augmented,
+    then resampled by ``rate``; also returns the resampled timestamp count."""
+    vocab = dataset.vocab
+    splits = {}
+    for name in SPLIT_NAMES:
+        splits[name], num_timestamps = resample_time(
+            augment_reciprocal(getattr(dataset, name), vocab.num_relations),
+            rate, vocab.num_timestamps)
+    return splits, num_timestamps
+
+
 def resample_dates(dates: Sequence[dt.date], rate: int) -> list[dt.date]:
     """Representative date per bucket: the first date each bucket covers."""
     if rate < 1:

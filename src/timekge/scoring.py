@@ -17,8 +17,10 @@ dotted against every candidate object embedding (1-N scoring):
   projection fixed to identity)
 
 ``Us`` is shorthand for ``subject_proj^T e_s`` and likewise for the
-other projections. Gradients are hand-derived; every parameter path is
-exercised by finite-difference checks in the test suite.
+other projections. One core, :func:`_fuse`, states these rules: both
+:meth:`Model.fuse` and the free ``fuse_*`` functions run it. Gradients are
+hand-derived; every parameter path is exercised by finite-difference
+checks in the test suite.
 """
 
 import enum
@@ -27,11 +29,21 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, ShapeError
-from .time_encoding import CyclicTimeEncoder, SimpleTimeEncoder
+from .time_encoding import (
+    COMPONENTS,
+    CyclicTimeEncoder,
+    SimpleTimeEncoder,
+    component_rows_for,
+    cycle_cardinalities,
+)
 
 INIT_EMBED_SCALE = 0.05
 INIT_CHAIN_NOISE = 0.01
 
+
+# The model's own tables in tensors() order; the encoder's tables follow.
+_TABLES = ("entity", "relation", "subject_proj", "relation_proj",
+           "relation_static", "time_proj", "chain_proj")
 
 # Tensors whose gradient one matmul assigns whole; every other gradient is
 # scattered row by row into a zero-filled table.
@@ -59,7 +71,7 @@ class Variant(enum.Enum):
 
 
 # ---------------------------------------------------------------------------
-# pure fusion functions
+# row helpers
 # ---------------------------------------------------------------------------
 
 def _rows(x) -> tuple[np.ndarray, bool]:
@@ -83,58 +95,6 @@ def expand_pool_grad(upstream: np.ndarray, rank: int) -> np.ndarray:
     return np.repeat(upstream, rank, axis=1)
 
 
-def fuse_lowfer(subj, rel, subject_proj, relation_proj, rank: int) -> np.ndarray:
-    s, single = _rows(subj)
-    r, _ = _rows(rel)
-    g = pool_rows((s @ subject_proj) * (r @ relation_proj), rank)
-    return g[0] if single else g
-
-
-def fuse_t(subj, rel, time, subject_proj, relation_proj, rank: int) -> np.ndarray:
-    r, _ = _rows(rel)
-    tv, _ = _rows(time)
-    if r.shape != tv.shape:
-        raise ShapeError(f"relation shape {r.shape} != time shape {tv.shape}")
-    return fuse_lowfer(subj, np.asarray(rel) * np.asarray(time),
-                       subject_proj, relation_proj, rank)
-
-
-def fuse_tnt(subj, rel_temporal, rel_static, time,
-             subject_proj, relation_proj, rank: int) -> np.ndarray:
-    modulated = np.asarray(rel_temporal) * np.asarray(time) + np.asarray(rel_static)
-    return fuse_lowfer(subj, modulated, subject_proj, relation_proj, rank)
-
-
-def fuse_cfb(subj, rel, time, subject_proj, relation_proj, time_proj,
-             chain_proj, rank: int) -> np.ndarray:
-    s, single = _rows(subj)
-    r, _ = _rows(rel)
-    tv, _ = _rows(time)
-    inner = (r @ relation_proj) * (tv @ time_proj)
-    g = pool_rows((s @ subject_proj) * (inner @ chain_proj), rank)
-    return g[0] if single else g
-
-
-def fuse_ftp(subj, rel, time, subject_proj, relation_proj, time_proj) -> np.ndarray:
-    s, single = _rows(subj)
-    r, _ = _rows(rel)
-    tv, _ = _rows(time)
-    g = (s @ subject_proj) * ((r @ relation_proj) * (tv @ time_proj))
-    return g[0] if single else g
-
-
-def score_all(fused, entity_table) -> np.ndarray:
-    """Dot the fused query vector(s) against every entity row (logits)."""
-    g, single = _rows(fused)
-    table = np.asarray(entity_table, dtype=np.float64)
-    if g.shape[1] != table.shape[1]:
-        raise ShapeError(
-            f"fused dim {g.shape[1]} != entity dim {table.shape[1]}"
-        )
-    logits = g @ table.T
-    return logits[0] if single else logits
-
-
 # ---------------------------------------------------------------------------
 # model parameters
 # ---------------------------------------------------------------------------
@@ -151,6 +111,25 @@ class ModelParams:
     time_proj: np.ndarray | None = None
     chain_proj: np.ndarray | None = None
     encoder: SimpleTimeEncoder | CyclicTimeEncoder | None = None
+
+    @classmethod
+    def from_tensors(cls, variant: Variant, rank: int, tensors: dict[str, np.ndarray],
+                     encoder: str | None = None, dates=None) -> "ModelParams":
+        """Wrap tensors named as :func:`param_layout` names them.
+
+        The time tables become an ``encoder`` ("ste" or "cte") encoder; the
+        cyclic one also needs the date of every timestamp index.
+        """
+        time_encoder = None
+        if variant.uses_time and encoder == "ste":
+            time_encoder = SimpleTimeEncoder(tensors["time"])
+        elif variant.uses_time:
+            if dates is None:
+                raise ConfigError("cte encoder needs the vocabulary date list")
+            time_encoder = CyclicTimeEncoder(
+                {c: tensors[f"time_{c}"] for c in COMPONENTS}, component_rows_for(dates))
+        return cls(variant=variant, rank=rank, encoder=time_encoder,
+                   **{name: tensors.get(name) for name in _TABLES})
 
     @property
     def num_entities(self) -> int:
@@ -170,41 +149,75 @@ class ModelParams:
 
     def tensors(self) -> dict[str, np.ndarray]:
         """Live views of every learnable tensor, keyed by stable names."""
-        out = {
-            "entity": self.entity,
-            "relation": self.relation,
-            "subject_proj": self.subject_proj,
-            "relation_proj": self.relation_proj,
-        }
-        if self.relation_static is not None:
-            out["relation_static"] = self.relation_static
-        if self.time_proj is not None:
-            out["time_proj"] = self.time_proj
-        if self.chain_proj is not None:
-            out["chain_proj"] = self.chain_proj
+        out = {name: getattr(self, name) for name in _TABLES
+               if getattr(self, name) is not None}
         if self.encoder is not None:
             out.update(self.encoder.tensors())
         return out
-
-    def set_tensors(self, tensors: dict[str, np.ndarray]) -> None:
-        self.entity = tensors["entity"]
-        self.relation = tensors["relation"]
-        self.subject_proj = tensors["subject_proj"]
-        self.relation_proj = tensors["relation_proj"]
-        if self.relation_static is not None:
-            self.relation_static = tensors["relation_static"]
-        if self.time_proj is not None:
-            self.time_proj = tensors["time_proj"]
-        if self.chain_proj is not None:
-            self.chain_proj = tensors["chain_proj"]
-        if self.encoder is not None:
-            self.encoder.set_tensors(tensors)
 
     def zero_grads(self) -> dict[str, np.ndarray]:
         return {name: np.zeros_like(t) for name, t in self.tensors().items()}
 
     def count_parameters(self) -> int:
         return sum(t.size for t in self.tensors().values())
+
+
+def param_layout(
+    variant: Variant | str,
+    num_entities: int,
+    num_relations: int,
+    rank: int,
+    dim_entity: int,
+    dim_relation: int | None = None,
+    dim_time: int | None = None,
+    encoder: str | None = "ste",
+    num_timestamps: int | None = None,
+) -> dict[str, tuple[int, int]]:
+    """Name and shape of every learnable tensor, in :meth:`ModelParams.tensors` order.
+
+    ``num_relations`` counts original relations; tables are sized for the
+    reciprocal-augmented index space ``[0, 2 * num_relations)``. An unset
+    ``dim_relation`` defaults to ``dim_entity``, an unset ``dim_time`` to
+    ``dim_relation``. Raises :class:`ConfigError` for a model no variant
+    can build.
+    """
+    if isinstance(variant, str):
+        variant = Variant.from_string(variant)
+    dim_relation = dim_entity if dim_relation is None else dim_relation
+    dim_time = dim_relation if dim_time is None else dim_time
+    if min(num_entities, num_relations, rank, dim_entity, dim_relation, dim_time) < 1:
+        raise ConfigError("entity/relation counts, dims and rank must be positive")
+    if variant is Variant.FTP and rank != 1:
+        raise ConfigError(f"ftp requires rank 1, got {rank}")
+    if variant in (Variant.T, Variant.TNT) and dim_time != dim_relation:
+        raise ConfigError(
+            f"modulation needs dim_time == dim_relation, got {dim_time} != {dim_relation}"
+        )
+
+    width = rank * dim_entity
+    layout = {
+        "entity": (num_entities, dim_entity),
+        "relation": (2 * num_relations, dim_relation),
+        "subject_proj": (dim_entity, width),
+        "relation_proj": (dim_relation, width),
+    }
+    if variant is Variant.TNT:
+        layout["relation_static"] = (2 * num_relations, dim_relation)
+    if variant in (Variant.CFB, Variant.FTP):
+        layout["time_proj"] = (dim_time, width)
+    if variant is Variant.CFB:
+        layout["chain_proj"] = (width, width)
+    if variant.uses_time:
+        if encoder == "ste":
+            if num_timestamps is None:
+                raise ConfigError("ste encoder needs num_timestamps")
+            layout["time"] = (num_timestamps, dim_time)
+        elif encoder == "cte":
+            for comp, card in cycle_cardinalities().items():
+                layout[f"time_{comp}"] = (card, dim_time)
+        else:
+            raise ConfigError(f"unknown encoder {encoder!r} (expected 'ste' or 'cte')")
+    return layout
 
 
 def _xavier(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
@@ -225,70 +238,38 @@ def init_params(
     dates=None,
     rng: np.random.Generator | None = None,
 ) -> ModelParams:
-    """Build a freshly initialized parameter set.
+    """Build a freshly initialized parameter set shaped by :func:`param_layout`.
 
-    ``num_relations`` counts original relations; tables are sized for the
-    reciprocal-augmented index space ``[0, 2 * num_relations)``. Embedding
-    tables start at Normal(0, 0.05); projections are Xavier-uniform; the
-    chain projection starts at identity plus small noise so the chained
-    variant begins near its trilinear specialization.
+    Tensors are drawn in layout order. Embedding and time tables start at
+    Normal(0, 0.05); projections are Xavier-uniform; the chain projection
+    starts at identity plus small noise so the chained variant begins near
+    its trilinear specialization.
     """
     if isinstance(variant, str):
         variant = Variant.from_string(variant)
     if rng is None:
         rng = np.random.default_rng(0)
-    dim_relation = dim_relation or dim_entity
-    dim_time = dim_time or dim_relation
-    if min(num_entities, num_relations, rank, dim_entity, dim_relation, dim_time) < 1:
-        raise ConfigError("entity/relation counts, dims and rank must be positive")
-    if variant is Variant.FTP and rank != 1:
-        raise ConfigError(f"ftp requires rank 1, got {rank}")
-    if variant in (Variant.T, Variant.TNT) and dim_time != dim_relation:
-        raise ConfigError(
-            f"modulation needs dim_time == dim_relation, got {dim_time} != {dim_relation}"
-        )
-
-    width = rank * dim_entity
-    params = ModelParams(
-        variant=variant,
-        rank=rank,
-        entity=rng.normal(0.0, INIT_EMBED_SCALE, size=(num_entities, dim_entity)),
-        relation=rng.normal(0.0, INIT_EMBED_SCALE, size=(2 * num_relations, dim_relation)),
-        subject_proj=_xavier(rng, dim_entity, width),
-        relation_proj=_xavier(rng, dim_relation, width),
-    )
-    if variant is Variant.TNT:
-        params.relation_static = rng.normal(
-            0.0, INIT_EMBED_SCALE, size=(2 * num_relations, dim_relation))
-    if variant in (Variant.CFB, Variant.FTP):
-        params.time_proj = _xavier(rng, dim_time, width)
-    if variant is Variant.CFB:
-        params.chain_proj = np.eye(width) + rng.normal(0.0, INIT_CHAIN_NOISE, size=(width, width))
-    if variant.uses_time:
-        if encoder == "ste":
-            if num_timestamps is None:
-                raise ConfigError("ste encoder needs num_timestamps")
-            params.encoder = SimpleTimeEncoder.create(num_timestamps, dim_time, rng)
-        elif encoder == "cte":
-            if dates is None:
-                raise ConfigError("cte encoder needs the vocabulary date list")
-            params.encoder = CyclicTimeEncoder.create(dates, dim_time, rng)
+    layout = param_layout(variant, num_entities, num_relations, rank, dim_entity,
+                          dim_relation, dim_time, encoder, num_timestamps)
+    tensors = {}
+    for name, shape in layout.items():
+        if name == "chain_proj":
+            tensors[name] = np.eye(shape[0]) + rng.normal(0.0, INIT_CHAIN_NOISE, size=shape)
+        elif name.endswith("_proj"):
+            tensors[name] = _xavier(rng, *shape)
         else:
-            raise ConfigError(f"unknown encoder {encoder!r} (expected 'ste' or 'cte')")
-    return params
+            tensors[name] = rng.normal(0.0, INIT_EMBED_SCALE, size=shape)
+    return ModelParams.from_tensors(variant, rank, tensors, encoder, dates)
 
 
 # ---------------------------------------------------------------------------
-# batched forward/backward with caching
+# fusion: one core for the model and the free functions
 # ---------------------------------------------------------------------------
 
 @dataclass
 class FusedBatch:
     """Forward intermediates for one batch, kept for the backward pass."""
 
-    s_idx: np.ndarray
-    p_idx: np.ndarray
-    t_idx: np.ndarray | None
     subj: np.ndarray            # entity rows of the subjects
     rel: np.ndarray             # relation rows (temporal table)
     rel_in: np.ndarray          # vector actually fed into relation_proj
@@ -301,11 +282,115 @@ class FusedBatch:
     mask_input: np.ndarray | None
     mask_hidden: np.ndarray | None
     g: np.ndarray               # fused query vectors, dropout applied
+    s_idx: np.ndarray | None = None  # batch indices, set by Model.fuse
+    p_idx: np.ndarray | None = None
+    t_idx: np.ndarray | None = None
 
     @property
     def size(self) -> int:
         return self.g.shape[0]
 
+
+def _fuse(params: ModelParams, subj, rel, time, rel_static, *, training: bool = False,
+          dropout_input: float = 0.0, dropout_hidden: float = 0.0,
+          rng: np.random.Generator | None = None) -> FusedBatch:
+    """The variant rules on 2-D rows; only the projections of ``params`` are read.
+
+    Dropout is only sampled when ``training`` is true: the combined product
+    before pooling gets the input rate, the pooled vector the hidden rate,
+    both inverted (survivors scaled by 1/(1-rate)).
+    """
+    variant = params.variant
+    if variant is Variant.T:
+        rel_in = rel * time
+    elif variant is Variant.TNT:
+        rel_in = rel * time + rel_static
+        # Model.fuse keeps no reference to these rows: free them before the wide products
+        del rel_static
+    else:  # lowfer; cfb / ftp fuse relation and time after projection
+        rel_in = rel
+
+    a = subj @ params.subject_proj
+    b = rel_in @ params.relation_proj
+    c = inner = w = None
+    if variant in (Variant.CFB, Variant.FTP):
+        c = time @ params.time_proj
+        inner = b * c
+        w = inner @ params.chain_proj if variant is Variant.CFB else inner
+        h = a * w
+    else:
+        h = a * b
+
+    # h and g are fresh temporaries, so the masks apply in place
+    mask_input = _dropout_mask(h.shape, dropout_input, training, rng)
+    if mask_input is not None:
+        h *= mask_input
+    g = pool_rows(h, params.rank)
+    mask_hidden = _dropout_mask(g.shape, dropout_hidden, training, rng)
+    if mask_hidden is not None:
+        g *= mask_hidden
+
+    return FusedBatch(subj=subj, rel=rel, rel_in=rel_in, time=time, a=a, b=b, c=c,
+                      inner=inner, w=w, mask_input=mask_input,
+                      mask_hidden=mask_hidden, g=g)
+
+
+def _fuse_vectors(variant: Variant, rank: int, subj, rel, time=None, rel_static=None,
+                  **projections) -> np.ndarray:
+    """:func:`_fuse` on vectors or batches; 1-D subjects give 1-D results."""
+    s, single = _rows(subj)
+    rows = [None if x is None else _rows(x)[0] for x in (rel, time, rel_static)]
+    weights = ModelParams(variant, rank, entity=None, relation=None, **projections)
+    g = _fuse(weights, s, *rows).g
+    return g[0] if single else g
+
+
+def fuse_lowfer(subj, rel, subject_proj, relation_proj, rank: int) -> np.ndarray:
+    return _fuse_vectors(Variant.LOWFER, rank, subj, rel, subject_proj=subject_proj,
+                         relation_proj=relation_proj)
+
+
+def fuse_t(subj, rel, time, subject_proj, relation_proj, rank: int) -> np.ndarray:
+    r, tv = _rows(rel)[0], _rows(time)[0]
+    if r.shape != tv.shape:
+        raise ShapeError(f"relation shape {r.shape} != time shape {tv.shape}")
+    return _fuse_vectors(Variant.T, rank, subj, r, tv, subject_proj=subject_proj,
+                         relation_proj=relation_proj)
+
+
+def fuse_tnt(subj, rel_temporal, rel_static, time,
+             subject_proj, relation_proj, rank: int) -> np.ndarray:
+    return _fuse_vectors(Variant.TNT, rank, subj, rel_temporal, time, rel_static,
+                         subject_proj=subject_proj, relation_proj=relation_proj)
+
+
+def fuse_cfb(subj, rel, time, subject_proj, relation_proj, time_proj,
+             chain_proj, rank: int) -> np.ndarray:
+    return _fuse_vectors(Variant.CFB, rank, subj, rel, time, subject_proj=subject_proj,
+                         relation_proj=relation_proj, time_proj=time_proj,
+                         chain_proj=chain_proj)
+
+
+def fuse_ftp(subj, rel, time, subject_proj, relation_proj, time_proj) -> np.ndarray:
+    return _fuse_vectors(Variant.FTP, 1, subj, rel, time, subject_proj=subject_proj,
+                         relation_proj=relation_proj, time_proj=time_proj)
+
+
+def score_all(fused, entity_table) -> np.ndarray:
+    """Dot the fused query vector(s) against every entity row (logits)."""
+    g, single = _rows(fused)
+    table = np.asarray(entity_table, dtype=np.float64)
+    if g.shape[1] != table.shape[1]:
+        raise ShapeError(
+            f"fused dim {g.shape[1]} != entity dim {table.shape[1]}"
+        )
+    logits = g @ table.T
+    return logits[0] if single else logits
+
+
+# ---------------------------------------------------------------------------
+# batched forward/backward with caching
+# ---------------------------------------------------------------------------
 
 class Model:
     """Bundles parameters with the batched forward/backward passes."""
@@ -320,62 +405,31 @@ class Model:
     def fuse(self, s_idx, p_idx, t_idx=None, *, training: bool = False,
              dropout_input: float = 0.0, dropout_hidden: float = 0.0,
              rng: np.random.Generator | None = None) -> FusedBatch:
-        """Compute fused query vectors for a batch of (s, p, t) keys.
+        """Fused query vectors for a batch of (s, p, t) keys.
 
-        Dropout is only sampled when ``training`` is true: the combined
-        product before pooling gets the input rate, the pooled vector the
-        hidden rate, both inverted (survivors scaled by 1/(1-rate)).
+        Gathers the batch's rows and runs the variant rules and dropout of
+        :func:`_fuse`, the core the free ``fuse_*`` functions share.
         """
         p = self.params
         s_idx = np.asarray(s_idx, dtype=np.int64)
         p_idx = np.asarray(p_idx, dtype=np.int64)
-        subj = p.entity[s_idx]
-        rel = p.relation[p_idx]
-        time = c = inner = w = None
+        time = None
         if p.variant.uses_time:
             if t_idx is None:
                 raise ShapeError(f"variant {p.variant.value} needs timestamp indices")
             t_idx = np.asarray(t_idx, dtype=np.int64)
             time = p.encoder.encode_batch(t_idx)
-
-        if p.variant is Variant.LOWFER:
-            rel_in = rel
-        elif p.variant is Variant.T:
-            rel_in = rel * time
-        elif p.variant is Variant.TNT:
-            rel_in = rel * time + p.relation_static[p_idx]
-        else:  # cfb / ftp fuse relation and time after projection
-            rel_in = rel
-
-        a = subj @ p.subject_proj
-        b = rel_in @ p.relation_proj
-        if p.variant in (Variant.CFB, Variant.FTP):
-            c = time @ p.time_proj
-            inner = b * c
-            w = inner @ p.chain_proj if p.variant is Variant.CFB else inner
-            h = a * w
-        else:
-            h = a * b
-
-        # h and g are fresh temporaries, so the masks apply in place
-        mask_input = _dropout_mask(h.shape, dropout_input, training, rng)
-        if mask_input is not None:
-            h *= mask_input
-        g = pool_rows(h, p.rank)
-        mask_hidden = _dropout_mask(g.shape, dropout_hidden, training, rng)
-        if mask_hidden is not None:
-            g *= mask_hidden
-
-        return FusedBatch(
-            s_idx=s_idx, p_idx=p_idx, t_idx=t_idx, subj=subj, rel=rel,
-            rel_in=rel_in, time=time, a=a, b=b, c=c, inner=inner, w=w,
-            mask_input=mask_input, mask_hidden=mask_hidden, g=g,
-        )
+        batch = _fuse(p, p.entity[s_idx], p.relation[p_idx], time,
+                      p.relation_static[p_idx] if p.variant is Variant.TNT else None,
+                      training=training, dropout_input=dropout_input,
+                      dropout_hidden=dropout_hidden, rng=rng)
+        batch.s_idx, batch.p_idx, batch.t_idx = s_idx, p_idx, t_idx
+        return batch
 
     def forward(self, s_idx, p_idx, t_idx=None, **kwargs) -> tuple[np.ndarray, FusedBatch]:
         """Fused vectors scored against all entities: (logits, cache)."""
         cache = self.fuse(s_idx, p_idx, t_idx, **kwargs)
-        return cache.g @ self.params.entity.T, cache
+        return score_all(cache.g, self.params.entity), cache
 
     def backward(self, cache: FusedBatch, dlogits: np.ndarray) -> dict[str, np.ndarray]:
         """Gradients of the loss for every parameter tensor.

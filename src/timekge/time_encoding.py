@@ -163,9 +163,6 @@ class SimpleTimeEncoder:
     def tensors(self) -> dict[str, np.ndarray]:
         return {"time": self.table}
 
-    def set_tensors(self, tensors: dict[str, np.ndarray]) -> None:
-        self.table = tensors["time"]
-
     def scatter_grad(self, timestamps, upstream: np.ndarray,
                      grads: dict[str, np.ndarray]) -> None:
         """Accumulate d(loss)/d(time rows) into ``grads['time']``."""
@@ -228,10 +225,6 @@ class CyclicTimeEncoder:
     def tensors(self) -> dict[str, np.ndarray]:
         return {f"time_{c}": self.tables[c] for c in COMPONENTS}
 
-    def set_tensors(self, tensors: dict[str, np.ndarray]) -> None:
-        for c in COMPONENTS:
-            self.tables[c] = tensors[f"time_{c}"]
-
     def scatter_grad(self, timestamps, upstream: np.ndarray,
                      grads: dict[str, np.ndarray]) -> None:
         """Route the time-embedding gradient additively to all 14 rows."""
@@ -247,8 +240,3 @@ def component_rows_for(dates: Iterable[dt.date]) -> np.ndarray:
     if not rows:
         return np.zeros((0, len(COMPONENTS)), dtype=np.int64)
     return np.array(rows, dtype=np.int64)
-
-
-def encode_batch(timestamps, encoder) -> np.ndarray:
-    """Row ``i`` is the encoding of ``timestamps[i]``; shape (n, dim)."""
-    return encoder.encode_batch(timestamps)

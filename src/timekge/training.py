@@ -12,23 +12,18 @@ import dataclasses
 import json
 import logging
 import math
+import numbers
 import os
 import shutil
 import time
+import typing
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import evaluation
-from .datasets import (
-    Dataset,
-    TargetIndex,
-    augment_reciprocal,
-    group_targets,
-    resample_dates,
-    resample_time,
-)
+from .datasets import Dataset, TargetIndex, group_targets, prepare_splits, resample_dates
 from .errors import (
     CheckpointCorruptError,
     CheckpointShapeError,
@@ -36,8 +31,7 @@ from .errors import (
     ConfigError,
     NumericError,
 )
-from .scoring import Model, ModelParams, Variant, _dropout_mask, init_params
-from .time_encoding import CyclicTimeEncoder, SimpleTimeEncoder
+from .scoring import Model, ModelParams, Variant, _dropout_mask, init_params, param_layout
 
 logger = logging.getLogger(__name__)
 
@@ -53,17 +47,23 @@ _CHUNK = 1 << 15
 # loss pieces
 # ---------------------------------------------------------------------------
 
+def _target_matrix(rows: np.ndarray, objects: np.ndarray, num_rows: int,
+                   num_entities: int, smoothing: float) -> np.ndarray:
+    """Label-smoothed targets: row ``rows[j]`` marks object ``objects[j]``."""
+    if not 0.0 <= smoothing < 1.0:
+        raise ConfigError(f"label smoothing must be in [0, 1), got {smoothing}")
+    y = np.full((num_rows, num_entities), smoothing / num_entities)
+    y.reshape(-1)[rows * num_entities + objects] += 1.0 - smoothing
+    return y
+
+
 def smooth_targets(true_objects, num_entities: int, smoothing: float) -> np.ndarray:
     """Label-smoothed 0/1 target vector over all candidate objects."""
     objs = np.asarray(list(true_objects) if isinstance(true_objects, set) else true_objects,
                       dtype=np.int64).reshape(-1)
     if objs.size == 0:
         raise ConfigError("smooth_targets: empty true-object set (malformed grouping)")
-    if not 0.0 <= smoothing < 1.0:
-        raise ConfigError(f"label smoothing must be in [0, 1), got {smoothing}")
-    y = np.full(num_entities, smoothing / num_entities)
-    y[objs] += 1.0 - smoothing
-    return y
+    return _target_matrix(np.zeros_like(objs), objs, 1, num_entities, smoothing)[0]
 
 
 def bce_loss(logits: np.ndarray, targets: np.ndarray) -> tuple[float, np.ndarray]:
@@ -213,11 +213,18 @@ class TrainConfig:
     time_sampling_rate: int = 1
 
     def validate(self) -> None:
+        """Refuse a field of the wrong type, then any value no run can use."""
+        for f in dataclasses.fields(self):
+            _check_type(f, getattr(self, f.name))
         Variant.from_string(self.variant)
         if self.encoder not in ("ste", "cte"):
             raise ConfigError(f"unknown encoder {self.encoder!r} (expected 'ste' or 'cte')")
-        if self.dim_entity < 1 or self.rank < 1 or self.batch_size < 1:
+        sizes = (self.dim_entity, self.dim_relation, self.dim_time, self.rank, self.batch_size)
+        if any(n is not None and n < 1 for n in sizes):
             raise ConfigError("dims, rank and batch size must be positive")
+        for name, value in (("lr", self.lr), ("decay", self.decay)):
+            if not (math.isfinite(value) and value >= 0):
+                raise ConfigError(f"{name} must be finite and >= 0, got {value}")
         if self.epochs < 0:
             raise ConfigError("epochs must be >= 0")
         if not 0.0 <= self.label_smoothing < 1.0:
@@ -227,6 +234,15 @@ class TrainConfig:
                 raise ConfigError("dropout rates must be in [0, 1)")
         if self.time_sampling_rate < 1:
             raise ConfigError("time sampling rate must be >= 1")
+
+
+def _check_type(field: dataclasses.Field, value) -> None:
+    """A bool is no int, an int is a float, and None only where the field allows it."""
+    allowed = tuple({int: numbers.Integral, float: numbers.Real}.get(t, t)
+                    for t in typing.get_args(field.type) or (field.type,))
+    if not isinstance(value, allowed) or isinstance(value, bool) and bool not in allowed:
+        expected = getattr(field.type, "__name__", field.type)
+        raise ConfigError(f"config field {field.name!r} must be {expected}, got {value!r}")
 
 
 @dataclass
@@ -259,10 +275,8 @@ def train_epoch(model: Model, keys: np.ndarray, targets: TargetIndex,
     total = 0.0
     for start in range(0, keys.shape[0], config.batch_size):
         batch = keys[order[start:start + config.batch_size]]
-        rows, objects = targets.lookup(batch)
-        y = np.full((batch.shape[0], num_entities),
-                    config.label_smoothing / num_entities)
-        y.reshape(-1)[rows * num_entities + objects] += 1.0 - config.label_smoothing
+        y = _target_matrix(*targets.lookup(batch), batch.shape[0], num_entities,
+                           config.label_smoothing)
         logits, cache = model.forward(
             batch[:, 0], batch[:, 1], batch[:, 2], training=True,
             dropout_input=config.dropout_input,
@@ -287,15 +301,9 @@ class Trainer:
         config.validate()
         self.config = config
         self.vocab = dataset.vocab
-        rate = config.time_sampling_rate
-        num_t = self.vocab.num_timestamps
-        self.train_quads, self.num_timestamps = resample_time(
-            augment_reciprocal(dataset.train, self.vocab.num_relations), rate, num_t)
-        self.valid_quads, _ = resample_time(
-            augment_reciprocal(dataset.valid, self.vocab.num_relations), rate, num_t)
-        self.test_quads, _ = resample_time(
-            augment_reciprocal(dataset.test, self.vocab.num_relations), rate, num_t)
-        self.dates = resample_dates(self.vocab.dates, rate)
+        self.splits, self.num_timestamps = prepare_splits(dataset, config.time_sampling_rate)
+        self.train_quads, self.valid_quads, self.test_quads = self.splits.values()
+        self.dates = resample_dates(self.vocab.dates, config.time_sampling_rate)
 
         self.targets = group_targets(self.train_quads)
         self.keys = self.targets.key_array
@@ -323,9 +331,7 @@ class Trainer:
         self.history: list[EpochRecord] = []
 
     def evaluate_split(self, split: str, mode: str = "filtered"):
-        quads = {"train": self.train_quads, "valid": self.valid_quads,
-                 "test": self.test_quads}[split]
-        return evaluation.evaluate(self.model, quads, self.filter, mode=mode)
+        return evaluation.evaluate(self.model, self.splits[split], self.filter, mode=mode)
 
     def run(self, eval_interval: int = 0, on_epoch=None) -> list[EpochRecord]:
         """Train for the configured number of epochs.
@@ -417,39 +423,6 @@ def save_checkpoint(directory, params: ModelParams, *, vocab_hashes: dict,
     shutil.rmtree(retired, ignore_errors=True)
 
 
-def _expected_layout(manifest: dict) -> dict[str, tuple[int, ...]]:
-    """Tensor shapes implied by the manifest's model description."""
-    variant = Variant.from_string(manifest["variant"])
-    rank = int(manifest["rank"])
-    dims = manifest["dims"]
-    n_ent = int(manifest["num_entities"])
-    n_rel = int(manifest["num_relations"])
-    d_e, d_r = int(dims["entity"]), int(dims["relation"])
-    width = rank * d_e
-    layout = {
-        "entity": (n_ent, d_e),
-        "relation": (2 * n_rel, d_r),
-        "subject_proj": (d_e, width),
-        "relation_proj": (d_r, width),
-    }
-    if variant is Variant.TNT:
-        layout["relation_static"] = (2 * n_rel, d_r)
-    if variant in (Variant.CFB, Variant.FTP):
-        layout["time_proj"] = (int(dims["time"]), width)
-    if variant is Variant.CFB:
-        layout["chain_proj"] = (width, width)
-    if variant.uses_time:
-        d_t = int(dims["time"])
-        if manifest["encoder"] == "ste":
-            layout["time"] = (int(manifest["num_timestamps"]), d_t)
-        else:
-            from .time_encoding import COMPONENTS, cycle_cardinalities
-            cards = cycle_cardinalities()
-            for comp in COMPONENTS:
-                layout[f"time_{comp}"] = (cards[comp], d_t)
-    return layout
-
-
 def load_checkpoint(directory, dataset: Dataset) -> tuple[ModelParams, dict]:
     """Restore parameters saved by :func:`save_checkpoint`.
 
@@ -475,7 +448,11 @@ def load_checkpoint(directory, dataset: Dataset) -> tuple[ModelParams, dict]:
         raise CheckpointVocabError(
             "checkpoint vocabulary hashes do not match this dataset")
 
-    layout = _expected_layout(manifest)
+    dims = manifest["dims"]
+    layout = param_layout(
+        manifest["variant"], int(manifest["num_entities"]), int(manifest["num_relations"]),
+        int(manifest["rank"]), int(dims["entity"]), int(dims["relation"]), dims["time"],
+        manifest.get("encoder"), manifest.get("num_timestamps"))
     recorded = {name: tuple(shape) for name, shape in manifest["tensors"].items()}
     if recorded != layout:
         raise CheckpointShapeError(
@@ -499,28 +476,8 @@ def load_checkpoint(directory, dataset: Dataset) -> tuple[ModelParams, dict]:
         if tensor.size and not (np.isfinite(tensor.min()) and np.isfinite(tensor.max())):
             raise CheckpointCorruptError(f"{path.name}: tensor {name!r} holds non-finite values")
 
-    variant = Variant.from_string(manifest["variant"])
-    rate = int(manifest.get("time_sampling_rate", 1))
-    encoder = None
-    if variant.uses_time:
-        if manifest["encoder"] == "ste":
-            encoder = SimpleTimeEncoder(tensors["time"])
-        else:
-            from .time_encoding import COMPONENTS, component_rows_for
-            dates = resample_dates(dataset.vocab.dates, rate)
-            encoder = CyclicTimeEncoder(
-                {c: tensors[f"time_{c}"] for c in COMPONENTS},
-                component_rows_for(dates))
-    params = ModelParams(
-        variant=variant,
-        rank=int(manifest["rank"]),
-        entity=tensors["entity"],
-        relation=tensors["relation"],
-        subject_proj=tensors["subject_proj"],
-        relation_proj=tensors["relation_proj"],
-        relation_static=tensors.get("relation_static"),
-        time_proj=tensors.get("time_proj"),
-        chain_proj=tensors.get("chain_proj"),
-        encoder=encoder,
-    )
+    dates = resample_dates(dataset.vocab.dates, int(manifest.get("time_sampling_rate", 1)))
+    params = ModelParams.from_tensors(Variant.from_string(manifest["variant"]),
+                                      int(manifest["rank"]), tensors,
+                                      manifest.get("encoder"), dates)
     return params, manifest

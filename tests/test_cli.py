@@ -4,6 +4,7 @@ import csv
 import json
 
 import numpy as np
+import pytest
 from timekge.cli import main
 from timekge.datasets import synthetic_dataset_dir
 
@@ -49,6 +50,35 @@ class TestTrain:
         cfg.write_text(json.dumps({"dataset": SYNTH, "out": str(tmp_path / "o"),
                                    "learning_rate": 0.1}))
         assert main(["train", "--config", str(cfg)]) == 1
+
+    @pytest.mark.parametrize("key, value", [
+        ("rank", "32"), ("epochs", 2.5), ("dim_relation", True), ("lr", None),
+        ("variant", 3), ("eval_interval", "5")])
+    def test_config_value_of_wrong_type_exits_1(self, tmp_path, capsys, key, value):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"dataset": SYNTH, "out": str(tmp_path / "o"),
+                                   key: value}))
+        assert main(["train", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and key in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--dim-relation", "0"), ("--dim-time", "0"), ("--lr", "-0.01"),
+        ("--lr", "nan"), ("--lr", "inf"), ("--decay", "-0.5")])
+    def test_out_of_range_value_exits_1(self, tmp_path, capsys, flag, value):
+        code = main(["train", "--dataset", SYNTH, "--out", str(tmp_path / "o"),
+                     *FAST_TRAIN, flag, value])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error:")
+        assert not (tmp_path / "o").exists()
+
+    def test_int_for_float_and_null_dims_are_accepted(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"dataset": SYNTH, "out": str(tmp_path / "o"),
+                                   "lr": 0, "decay": 1, "dim_relation": None,
+                                   "dim_entity": 8, "rank": 2, "epochs": 1,
+                                   "batch_size": 64, "eval_interval": 1}))
+        assert main(["train", "--config", str(cfg)]) == 0
 
     def test_numeric_divergence_exits_3(self, tmp_path, capsys):
         with np.errstate(all="ignore"):

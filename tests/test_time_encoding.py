@@ -13,7 +13,6 @@ from timekge.time_encoding import (
     component_rows_for,
     cycle_cardinalities,
     decompose_date,
-    encode_batch,
     encode_cyclic,
     encode_simple,
 )
@@ -260,9 +259,3 @@ def test_component_rows_precompute_matches_decomposition():
     assert rows.shape == (4, 14)
     for i, date in enumerate(dates):
         assert tuple(rows[i]) == tuple(decompose_date(date))
-
-
-def test_encode_batch_dispatches_to_encoder():
-    rng = np.random.default_rng(10)
-    enc = SimpleTimeEncoder.create(6, 3, rng)
-    np.testing.assert_array_equal(encode_batch([1, 2], enc), enc.encode_batch([1, 2]))

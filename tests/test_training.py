@@ -370,8 +370,10 @@ class TestCheckpoints:
                         num_timestamps=trainer.num_timestamps)
         return ds, trainer, path
 
-    def test_round_trip_bit_identical(self, tmp_path):
-        ds, trainer, path = self.make_trained(tmp_path)
+    @pytest.mark.parametrize("encoder", ["ste", "cte"])
+    @pytest.mark.parametrize("variant", ["tnt", "lowfer", "t", "cfb", "ftp"])
+    def test_round_trip_bit_identical(self, tmp_path, variant, encoder):
+        ds, trainer, path = self.make_trained(tmp_path, variant, encoder)
         params, manifest = load_checkpoint(path, ds)
         for name, tensor in trainer.model.params.tensors().items():
             np.testing.assert_array_equal(params.tensors()[name], tensor)
