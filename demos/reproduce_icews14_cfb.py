@@ -7,7 +7,7 @@ label smoothing 0.01, dropout 0.1/0.2, simple time encoding, 200 epochs.
 A successful full run is expected to land filtered test MRR in the
 vicinity of 0.62 (+/- 0.03). It takes about 68 hours on 2 CPU cores
 (a measured 8.4 s per batch of 1000 keys x 146 batches x 200 epochs, on a
-2-vCPU Xeon with OpenBLAS; peak RSS about 4.3 GB), so it is NOT part of
+2-vCPU Xeon with OpenBLAS; peak RSS about 4.0 GB), so it is NOT part of
 the test suite.
 
 Place the dataset at data/icews14 (tab-separated train/valid/test files

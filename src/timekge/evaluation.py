@@ -111,25 +111,7 @@ def evaluate(model, quads: np.ndarray, flt: TargetIndex | None,
     ranks = np.empty(quads.shape[0])
     for start in range(0, quads.shape[0], batch_size):
         chunk = quads[start:start + batch_size]
-        logits, _ = model.forward(chunk[:, 0], chunk[:, 1], chunk[:, 3],
-                                  training=False)
-        # every comparison with NaN is false, so a NaN would rank first
-        if not np.isfinite(logits).all():
-            raise NumericError(
-                f"non-finite logits for queries {start}..{start + chunk.shape[0] - 1}")
-        true = chunk[:, 2]
-        if mode == "filtered":
-            try:
-                rows, known = flt.lookup(chunk[:, [0, 1, 3]])
-            except MissingKeyError as exc:
-                raise DataError(f"no filter entry for key {exc.key}; "
-                                "the filter must be built from all splits") from None
-            other = known != true[rows]
-            logits[rows[other], known[other]] = -np.inf
-        s_true = logits[np.arange(chunk.shape[0]), true][:, None]
-        greater = np.count_nonzero(logits > s_true, axis=1)
-        ties = np.count_nonzero(logits == s_true, axis=1) - 1
-        ranks[start:start + chunk.shape[0]] = 1.0 + greater + 0.5 * ties
+        ranks[start:start + chunk.shape[0]] = _chunk_ranks(model, chunk, flt, mode, start)
     is_head = quads[:, 1] >= num_relations
     tail = DirectionMetrics.from_ranks(ranks[~is_head])
     head = DirectionMetrics.from_ranks(ranks[is_head])
@@ -139,6 +121,30 @@ def evaluate(model, quads: np.ndarray, flt: TargetIndex | None,
         hits10=combined.hits10, num_queries=combined.num_queries,
         tail=tail, head=head,
     )
+
+
+def _chunk_ranks(model, chunk: np.ndarray, flt: TargetIndex | None, mode: str,
+                 start: int) -> np.ndarray:
+    """Mean-tie ranks of one chunk of queries; its arrays die with the call."""
+    # the forward cache is dropped at once: ranking reads only the logits
+    logits = model.forward(chunk[:, 0], chunk[:, 1], chunk[:, 3], training=False)[0]
+    # every comparison with NaN is false, so a NaN would rank first
+    if not np.isfinite(logits).all():
+        raise NumericError(
+            f"non-finite logits for queries {start}..{start + chunk.shape[0] - 1}")
+    true = chunk[:, 2]
+    if mode == "filtered":
+        try:
+            rows, known = flt.lookup(chunk[:, [0, 1, 3]])
+        except MissingKeyError as exc:
+            raise DataError(f"no filter entry for key {exc.key}; "
+                            "the filter must be built from all splits") from None
+        other = known != true[rows]
+        logits[rows[other], known[other]] = -np.inf
+    s_true = logits[np.arange(chunk.shape[0]), true][:, None]
+    greater = np.count_nonzero(logits > s_true, axis=1)
+    ties = np.count_nonzero(logits == s_true, axis=1) - 1
+    return 1.0 + greater + 0.5 * ties
 
 
 # ---------------------------------------------------------------------------

@@ -40,6 +40,10 @@ from .time_encoding import (
 INIT_EMBED_SCALE = 0.05
 INIT_CHAIN_NOISE = 0.01
 
+# Elementwise passes over large arrays run in chunks of this many float64
+# values (256 KiB), so that each chunk's temporaries stay in cache.
+_CHUNK = 1 << 15
+
 
 # The model's own tables in tensors() order; the encoder's tables follow.
 _TABLES = ("entity", "relation", "subject_proj", "relation_proj",
@@ -279,16 +283,28 @@ class FusedBatch:
     c: np.ndarray | None        # time projection (cfb/ftp)
     inner: np.ndarray | None    # b . c before the chain projection
     w: np.ndarray | None        # chain output (cfb) or inner (ftp)
-    mask_input: np.ndarray | None
-    mask_hidden: np.ndarray | None
+    keep_input: np.ndarray | None   # bool dropout keep-masks, drawn in training only
+    keep_hidden: np.ndarray | None
     g: np.ndarray               # fused query vectors, dropout applied
     s_idx: np.ndarray | None = None  # batch indices, set by Model.fuse
     p_idx: np.ndarray | None = None
     t_idx: np.ndarray | None = None
+    dropout_input: float = 0.0
+    dropout_hidden: float = 0.0
 
     @property
     def size(self) -> int:
         return self.g.shape[0]
+
+    @property
+    def mask_input(self) -> np.ndarray | None:
+        """The input keep-mask as inverted-dropout factors (a new array)."""
+        return _scaled_mask(self.keep_input, self.dropout_input)
+
+    @property
+    def mask_hidden(self) -> np.ndarray | None:
+        """The hidden keep-mask as inverted-dropout factors (a new array)."""
+        return _scaled_mask(self.keep_hidden, self.dropout_hidden)
 
 
 def _fuse(params: ModelParams, subj, rel, time, rel_static, *, training: bool = False,
@@ -317,22 +333,39 @@ def _fuse(params: ModelParams, subj, rel, time, rel_static, *, training: bool = 
         c = time @ params.time_proj
         inner = b * c
         w = inner @ params.chain_proj if variant is Variant.CFB else inner
-        h = a * w
-    else:
-        h = a * b
 
-    # h and g are fresh temporaries, so the masks apply in place
-    mask_input = _dropout_mask(h.shape, dropout_input, training, rng)
-    if mask_input is not None:
-        h *= mask_input
-    g = pool_rows(h, params.rank)
-    mask_hidden = _dropout_mask(g.shape, dropout_hidden, training, rng)
-    if mask_hidden is not None:
-        g *= mask_hidden
+    keep_input = _dropout_keep(a.shape, dropout_input, training, rng)
+    g = _product_pool(a, b if w is None else w, keep_input, dropout_input, params.rank)
+    keep_hidden = _dropout_keep(g.shape, dropout_hidden, training, rng)
+    if keep_hidden is not None:
+        _apply_keep(g, keep_hidden, dropout_hidden)
 
     return FusedBatch(subj=subj, rel=rel, rel_in=rel_in, time=time, a=a, b=b, c=c,
-                      inner=inner, w=w, mask_input=mask_input,
-                      mask_hidden=mask_hidden, g=g)
+                      inner=inner, w=w, keep_input=keep_input, keep_hidden=keep_hidden,
+                      g=g, dropout_input=dropout_input, dropout_hidden=dropout_hidden)
+
+
+def _product_pool(x: np.ndarray, y: np.ndarray, keep: np.ndarray | None, rate: float,
+                  rank: int) -> np.ndarray:
+    """``pool_rows(x * y)`` with the input keep-mask applied before pooling.
+
+    Rows are formed, masked and pooled a cache-sized block at a time, so
+    the full product never exists; each row is pooled by
+    :func:`pool_rows` as a whole, so the result does not depend on the
+    block size.
+    """
+    n, width = x.shape
+    rows = max(1, _CHUNK // width)
+    g = np.empty((n, width // rank))
+    scratch = np.empty(min(n, rows) * width)
+    for start in range(0, n, rows):
+        stop = min(start + rows, n)
+        h = np.multiply(x[start:stop], y[start:stop],
+                        out=scratch[:(stop - start) * width].reshape(stop - start, width))
+        if keep is not None:
+            _apply_keep(h, keep[start:stop], rate)
+        g[start:stop] = pool_rows(h, rank)
+    return g
 
 
 def _fuse_vectors(variant: Variant, rank: int, subj, rel, time=None, rel_static=None,
@@ -455,11 +488,11 @@ class Model:
 
         # dg and dh are fresh temporaries, updated in place from here on
         dg = dlogits @ p.entity
-        if cache.mask_hidden is not None:
-            dg *= cache.mask_hidden
+        if cache.keep_hidden is not None:
+            _apply_keep(dg, cache.keep_hidden, cache.dropout_hidden)
         dh = expand_pool_grad(dg, p.rank)
-        if cache.mask_input is not None:
-            dh *= cache.mask_input
+        if cache.keep_input is not None:
+            _apply_keep(dh, cache.keep_input, cache.dropout_input)
 
         if p.variant in (Variant.CFB, Variant.FTP):
             da = dh * cache.w
@@ -501,12 +534,13 @@ class Model:
         return self.params.count_parameters()
 
 
-def _dropout_mask(shape, rate: float, training: bool,
+def _dropout_keep(shape, rate: float, training: bool,
                   rng: np.random.Generator | None) -> np.ndarray | None:
-    """Inverted-dropout mask: 0 with probability ``rate``, else 1/(1-rate).
+    """Inverted-dropout keep-mask: False with probability ``rate``.
 
     ``None`` when nothing is dropped (eval mode or rate 0). The rate is
-    validated first, whatever the mode.
+    validated first, whatever the mode. The uniforms are drawn a chunk at
+    a time, in the order ``rng.random(shape)`` draws them.
     """
     if not 0.0 <= rate < 1.0:
         raise ConfigError(f"dropout rate must be in [0, 1), got {rate}")
@@ -514,8 +548,37 @@ def _dropout_mask(shape, rate: float, training: bool,
         return None
     if rng is None:
         raise ConfigError("training-mode dropout needs a random generator")
-    # the uniform draws become the mask in place: keep >= rate, then scale
-    mask = rng.random(shape)
-    np.greater_equal(mask, rate, out=mask)
-    mask /= 1.0 - rate
-    return mask
+    keep = np.empty(shape, dtype=bool)
+    flat = keep.reshape(-1)
+    uniform = np.empty(min(_CHUNK, flat.size))
+    for start in range(0, flat.size, _CHUNK):
+        u = rng.random(out=uniform[:min(_CHUNK, flat.size - start)])
+        np.greater_equal(u, rate, out=flat[start:start + u.size])
+    return keep
+
+
+def _apply_keep(x: np.ndarray, keep: np.ndarray, rate: float) -> None:
+    """``x *= keep / (1 - rate)`` in place on a C-contiguous ``x``.
+
+    Zeroing then scaling rounds exactly as one multiply by the float mask.
+    """
+    scale = 1.0 / (1.0 - rate)
+    flat_x, flat_keep = x.reshape(-1), keep.reshape(-1)
+    for start in range(0, flat_x.size, _CHUNK):
+        chunk = flat_x[start:start + _CHUNK]
+        chunk *= flat_keep[start:start + _CHUNK]
+        chunk *= scale
+
+
+def _scaled_mask(keep: np.ndarray | None, rate: float) -> np.ndarray | None:
+    return None if keep is None else keep * (1.0 / (1.0 - rate))
+
+
+def _dropout_mask(shape, rate: float, training: bool,
+                  rng: np.random.Generator | None) -> np.ndarray | None:
+    """Inverted-dropout mask: 0 with probability ``rate``, else 1/(1-rate).
+
+    The float form of :func:`_dropout_keep`'s mask, from the same draw;
+    ``None`` when nothing is dropped.
+    """
+    return _scaled_mask(_dropout_keep(shape, rate, training, rng), rate)

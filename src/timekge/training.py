@@ -31,16 +31,20 @@ from .errors import (
     ConfigError,
     NumericError,
 )
-from .scoring import Model, ModelParams, Variant, _dropout_mask, init_params, param_layout
+from .scoring import (
+    _CHUNK,
+    Model,
+    ModelParams,
+    Variant,
+    _dropout_mask,
+    init_params,
+    param_layout,
+)
 
 logger = logging.getLogger(__name__)
 
 RNG_ALGORITHM = "numpy-pcg64"
 CHECKPOINT_FORMAT = "timekge-checkpoint-v1"
-
-# Elementwise passes over large arrays run in chunks of this many float64
-# values (256 KiB), so that each chunk's temporaries stay in cache.
-_CHUNK = 1 << 15
 
 
 # ---------------------------------------------------------------------------
@@ -269,29 +273,41 @@ def train_epoch(model: Model, keys: np.ndarray, targets: TargetIndex,
                 config: TrainConfig, adam: AdamState,
                 rng: np.random.Generator, lr: float, epoch: int = 0) -> float:
     """One pass over shuffled 1-N keys; returns the mean per-key loss."""
-    num_entities = model.params.num_entities
     order = rng.permutation(keys.shape[0])
     tensors = model.params.tensors()
     total = 0.0
     for start in range(0, keys.shape[0], config.batch_size):
         batch = keys[order[start:start + config.batch_size]]
-        y = _target_matrix(*targets.lookup(batch), batch.shape[0], num_entities,
-                           config.label_smoothing)
-        logits, cache = model.forward(
-            batch[:, 0], batch[:, 1], batch[:, 2], training=True,
-            dropout_input=config.dropout_input,
-            dropout_hidden=config.dropout_hidden, rng=rng,
-        )
         try:
-            loss, dlogits = bce_loss(logits, y)
+            loss = _train_step(model, tensors, batch, targets, config, adam, rng, lr)
         except NumericError as exc:
             raise NumericError(
                 f"epoch {epoch}, batch {start // config.batch_size}: {exc}"
             ) from None
-        grads = model.backward(cache, dlogits)
-        adam_step(tensors, grads, adam, lr)
         total += loss * batch.shape[0]
     return total / keys.shape[0]
+
+
+def _train_step(model: Model, tensors: dict[str, np.ndarray], batch: np.ndarray,
+                targets: TargetIndex, config: TrainConfig, adam: AdamState,
+                rng: np.random.Generator, lr: float) -> float:
+    """One 1-N step on a batch of keys; returns its mean loss.
+
+    The targets and logits are released before the backward pass, and
+    every other array of the batch when the step returns, before the next
+    batch's forward.
+    """
+    y = _target_matrix(*targets.lookup(batch), batch.shape[0], model.params.num_entities,
+                       config.label_smoothing)
+    logits, cache = model.forward(
+        batch[:, 0], batch[:, 1], batch[:, 2], training=True,
+        dropout_input=config.dropout_input,
+        dropout_hidden=config.dropout_hidden, rng=rng,
+    )
+    loss, dlogits = bce_loss(logits, y)
+    del logits, y
+    adam_step(tensors, model.backward(cache, dlogits), adam, lr)
+    return loss
 
 
 class Trainer:
@@ -423,6 +439,45 @@ def save_checkpoint(directory, params: ModelParams, *, vocab_hashes: dict,
     shutil.rmtree(retired, ignore_errors=True)
 
 
+_JSON_TYPES = {dict: "object", list: "array", str: "string", int: "integer",
+               float: "number", bool: "boolean", type(None): "null"}
+# The manifest fields load_checkpoint reads and the JSON types each may hold.
+_MANIFEST_FIELDS = {
+    "format": (str,), "variant": (str,), "rank": (int,), "num_entities": (int,),
+    "num_relations": (int,), "dims": (dict,), "tensors": (dict,), "vocab_hashes": (dict,),
+    "encoder": (str, type(None)), "num_timestamps": (int, type(None)),
+    "time_sampling_rate": (int,),
+}
+_DIMS_FIELDS = {"entity": (int,), "relation": (int,), "time": (int, type(None))}
+_OPTIONAL_FIELDS = ("encoder", "num_timestamps", "time_sampling_rate")
+
+
+def _check_fields(table: dict, fields: dict, prefix: str = "") -> None:
+    for key, types in fields.items():
+        name = prefix + key
+        if key not in table:
+            if name in _OPTIONAL_FIELDS:
+                continue
+            raise CheckpointCorruptError(f"manifest missing field {name!r}")
+        found = type(table[key])
+        if found not in types:
+            expected = " or ".join(_JSON_TYPES[t] for t in types)
+            raise CheckpointCorruptError(
+                f"manifest field {name!r} must be {expected}, got {_JSON_TYPES[found]}")
+
+
+def _check_manifest(manifest) -> None:
+    """Refuse a manifest with a missing field or a field of the wrong JSON type."""
+    if type(manifest) is not dict:
+        raise CheckpointCorruptError("manifest must be a JSON object")
+    _check_fields(manifest, _MANIFEST_FIELDS)
+    _check_fields(manifest["dims"], _DIMS_FIELDS, "dims.")
+    for name, shape in manifest["tensors"].items():
+        if type(shape) is not list or any(type(n) is not int for n in shape):
+            raise CheckpointCorruptError(
+                f"manifest field 'tensors.{name}' must be an array of integers")
+
+
 def load_checkpoint(directory, dataset: Dataset) -> tuple[ModelParams, dict]:
     """Restore parameters saved by :func:`save_checkpoint`.
 
@@ -437,9 +492,7 @@ def load_checkpoint(directory, dataset: Dataset) -> tuple[ModelParams, dict]:
             manifest = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise CheckpointCorruptError(f"cannot read {manifest_path}: {exc}") from None
-    for key in ("format", "variant", "rank", "dims", "tensors", "vocab_hashes"):
-        if key not in manifest:
-            raise CheckpointCorruptError(f"manifest missing field {key!r}")
+    _check_manifest(manifest)
     if manifest["format"] != CHECKPOINT_FORMAT:
         raise CheckpointCorruptError(f"unsupported checkpoint format {manifest['format']!r}")
 
@@ -450,8 +503,8 @@ def load_checkpoint(directory, dataset: Dataset) -> tuple[ModelParams, dict]:
 
     dims = manifest["dims"]
     layout = param_layout(
-        manifest["variant"], int(manifest["num_entities"]), int(manifest["num_relations"]),
-        int(manifest["rank"]), int(dims["entity"]), int(dims["relation"]), dims["time"],
+        manifest["variant"], manifest["num_entities"], manifest["num_relations"],
+        manifest["rank"], dims["entity"], dims["relation"], dims["time"],
         manifest.get("encoder"), manifest.get("num_timestamps"))
     recorded = {name: tuple(shape) for name, shape in manifest["tensors"].items()}
     if recorded != layout:
@@ -476,8 +529,8 @@ def load_checkpoint(directory, dataset: Dataset) -> tuple[ModelParams, dict]:
         if tensor.size and not (np.isfinite(tensor.min()) and np.isfinite(tensor.max())):
             raise CheckpointCorruptError(f"{path.name}: tensor {name!r} holds non-finite values")
 
-    dates = resample_dates(dataset.vocab.dates, int(manifest.get("time_sampling_rate", 1)))
+    dates = resample_dates(dataset.vocab.dates, manifest.get("time_sampling_rate", 1))
     params = ModelParams.from_tensors(Variant.from_string(manifest["variant"]),
-                                      int(manifest["rank"]), tensors,
+                                      manifest["rank"], tensors,
                                       manifest.get("encoder"), dates)
     return params, manifest

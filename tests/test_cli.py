@@ -154,6 +154,28 @@ class TestEvaluate:
                      "--dataset", SYNTH]) == 1
 
 
+    @pytest.mark.parametrize("field, value", [
+        ("dims", None), ("tensors", ["entity"]), ("num_entities", "absent"),
+        ("rank", "2"), ("dims.time", 1.5), ("tensors.entity", [40, "8"])])
+    def test_manifest_field_of_wrong_type_exits_1(self, tmp_path, capsys, field, value):
+        code, out = run_train(tmp_path)
+        path = out / "checkpoint-best" / "manifest.json"
+        manifest = json.loads(path.read_text())
+        *parents, key = field.split(".")
+        table = manifest
+        for name in parents:
+            table = table[name]
+        if value == "absent":
+            del table[key]
+        else:
+            table[key] = value
+        path.write_text(json.dumps(manifest))
+        capsys.readouterr()
+        assert main(["evaluate", "--checkpoint", str(out / "checkpoint-best"),
+                     "--dataset", SYNTH]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and repr(field) in err and "Traceback" not in err
+
     def test_non_finite_logits_exit_3(self, tmp_path, capsys):
         code, out = run_train(tmp_path)
         assert code == 0

@@ -9,8 +9,10 @@ from timekge.errors import ConfigError, ShapeError
 from timekge.gradcheck import finite_diff_check
 from timekge.kernels import hadamard, matvec_t, sum_pool
 from timekge.scoring import (
+    _CHUNK,
     Model,
     Variant,
+    _dropout_keep,
     _dropout_mask,
     fuse_cfb,
     fuse_ftp,
@@ -18,6 +20,7 @@ from timekge.scoring import (
     fuse_t,
     fuse_tnt,
     init_params,
+    pool_rows,
     score_all,
 )
 from timekge.training import bce_loss
@@ -250,6 +253,47 @@ class TestModelForward:
         with pytest.raises(ConfigError):
             model.fuse(s, pr, t, training=training, dropout_hidden=rate,
                        rng=np.random.default_rng(0))
+
+
+class TestDropoutKeepMask:
+    # below one chunk, exactly one, not a multiple of it, and two chunks
+    @pytest.mark.parametrize("shape", [(7, 11), (_CHUNK,), (3, _CHUNK // 2 + 5), (2, _CHUNK)])
+    def test_chunked_draw_is_the_one_uniform_draw(self, shape):
+        rate = 0.3
+        rng, reference = np.random.default_rng(60), np.random.default_rng(60)
+        keep = _dropout_keep(shape, rate, True, rng)
+        assert keep.dtype == np.bool_ and keep.shape == shape
+        expected = (reference.random(shape) >= rate) / (1 - rate)
+        assert np.array_equal(keep * (1.0 / (1.0 - rate)), expected)
+        assert rng.random() == reference.random()
+
+    @pytest.mark.parametrize("training, rate", [(False, 0.3), (True, 0.0)])
+    def test_nothing_dropped_draws_nothing(self, training, rate):
+        rng = np.random.default_rng(61)
+        assert _dropout_keep((4, 5), rate, training, rng) is None
+        assert rng.random() == np.random.default_rng(61).random()
+
+    @pytest.mark.parametrize("training", [True, False])
+    def test_negative_rate_refused(self, training):
+        with pytest.raises(ConfigError):
+            _dropout_keep((4, 5), -0.1, training, np.random.default_rng(0))
+
+
+class TestRowBlockedForward:
+    @pytest.mark.parametrize("variant", [v.value for v in Variant])
+    @pytest.mark.parametrize("encoder", ["ste", "cte"])
+    def test_matches_whole_batch_product_and_pool(self, variant, encoder):
+        model = tiny_model(variant, encoder=encoder, seed=50)
+        p = model.params
+        block = max(1, _CHUNK // (p.rank * p.dim_entity))
+        rng = np.random.default_rng(51)
+        for n in (1, block - 1, block, block + 1):
+            s, pr, t = random_batch(rng, n=n)
+            cache = model.fuse(s, pr, t, training=True, dropout_input=0.3,
+                               dropout_hidden=0.4, rng=rng)
+            right = cache.b if cache.w is None else cache.w
+            expected = pool_rows(cache.a * right * cache.mask_input, p.rank) * cache.mask_hidden
+            assert np.array_equal(cache.g, expected), n
 
 
 class TestBuildGuards:
