@@ -13,13 +13,7 @@ import datetime as dt
 
 import numpy as np
 
-from timekge import (
-    COMPONENTS,
-    CyclicTimeEncoder,
-    SimpleTimeEncoder,
-    cycle_cardinalities,
-    decompose_date,
-)
+from timekge import COMPONENTS, cycle_cardinalities, decompose_date, init_params
 
 # --- the 14 components --------------------------------------------------------
 print("component cardinalities:")
@@ -42,10 +36,13 @@ print(f"\n{a} and {b} share weekday index:",
       decompose_date(a).day_of_week == decompose_date(b).day_of_week)
 
 # --- the encoders ---------------------------------------------------------------
+# A temporal model's parameters carry its encoder; a one-entity model is
+# enough to get one.
 dates = [dt.date(2014, 1, 1) + dt.timedelta(days=i) for i in range(30)]
 rng = np.random.default_rng(0)
-simple = SimpleTimeEncoder.create(len(dates), dim=6, rng=rng)
-cyclic = CyclicTimeEncoder.create(dates, dim=6, rng=rng)
+shape = dict(num_entities=1, num_relations=1, rank=1, dim_entity=6, rng=rng)
+simple = init_params("t", encoder="ste", num_timestamps=len(dates), **shape).encoder
+cyclic = init_params("t", encoder="cte", dates=dates, **shape).encoder
 
 print("\nsimple encoder parameters:",
       sum(t.size for t in simple.tensors().values()))
@@ -53,10 +50,13 @@ print("cyclic encoder parameters:",
       sum(t.size for t in cyclic.tensors().values()),
       f"(shared across all {len(dates)} timestamps and any future date)")
 
-# The cyclic embedding of a timestamp is literally the sum of its 14 rows:
+# The 14 component tables are row ranges of one stacked table, and the
+# cyclic embedding of a timestamp is literally the sum of its 14 rows:
+print("stacked cyclic table:", cyclic.table.shape)
 t = 8
 c = decompose_date(dates[t])
-manual = sum(cyclic.tables[comp][idx] for comp, idx in zip(COMPONENTS, c))
+tables = cyclic.tensors()
+manual = sum(tables[f"time_{comp}"][idx] for comp, idx in zip(COMPONENTS, c))
 print("cyclic encoding == sum of component rows:",
       np.allclose(cyclic.encode_batch([t])[0], manual))
 

@@ -16,7 +16,6 @@ embedding enters:
 import numpy as np
 
 from timekge import (
-    Model,
     fuse_cfb,
     fuse_ftp,
     fuse_lowfer,
@@ -60,4 +59,4 @@ for variant, rank in (("lowfer", 32), ("t", 32), ("tnt", 32), ("cfb", 32),
     params = init_params(variant, num_entities=1000, num_relations=50,
                          rank=rank, dim_entity=300, encoder="ste",
                          num_timestamps=365, rng=rng)
-    print(f"  {variant:<7} rank {rank:>2}: {Model(params).count_parameters():>12,}")
+    print(f"  {variant:<7} rank {rank:>2}: {params.count_parameters():>12,}")

@@ -29,7 +29,7 @@ config = TrainConfig(variant="tnt", encoder="ste", dim_entity=64, rank=8,
                      epochs=50, seed=7, batch_size=16)
 trainer = Trainer(ds, config)
 print(f"\nmodel: {config.variant}/{config.encoder}, "
-      f"{trainer.model.count_parameters():,} parameters, "
+      f"{trainer.model.params.count_parameters():,} parameters, "
       f"{trainer.keys.shape[0]} training keys")
 
 history = trainer.run(eval_interval=10)

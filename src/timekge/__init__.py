@@ -51,8 +51,6 @@ from .time_encoding import (
     SimpleTimeEncoder,
     cycle_cardinalities,
     decompose_date,
-    encode_cyclic,
-    encode_simple,
 )
 from .training import (
     AdamState,
@@ -76,10 +74,9 @@ __all__ = [
     "SimpleTimeEncoder", "TargetIndex", "TrainConfig", "Trainer", "Variant", "Vocab",
     "adam_step", "apply_dropout", "augment_reciprocal", "bce_loss",
     "build_filter", "build_vocab", "cycle_cardinalities", "dataset_stats",
-    "decay_lr", "decompose_date", "encode_cyclic", "encode_simple", "evaluate",
-    "finite_diff_check", "fuse_cfb", "fuse_ftp", "fuse_lowfer", "fuse_t",
-    "fuse_tnt", "group_targets", "hadamard", "index_quadruples", "init_params",
-    "load_checkpoint", "matvec_t", "parse_quadruples", "rank_of",
-    "resample_time", "save_checkpoint", "score_all", "smooth_targets",
+    "decay_lr", "decompose_date", "evaluate", "finite_diff_check", "fuse_cfb",
+    "fuse_ftp", "fuse_lowfer", "fuse_t", "fuse_tnt", "group_targets", "hadamard",
+    "index_quadruples", "init_params", "load_checkpoint", "matvec_t", "parse_quadruples",
+    "rank_of", "resample_time", "save_checkpoint", "score_all", "smooth_targets",
     "sum_pool", "synthetic_dataset_dir", "train_epoch",
 ]

@@ -49,9 +49,10 @@ _CHUNK = 1 << 15
 _TABLES = ("entity", "relation", "subject_proj", "relation_proj",
            "relation_static", "time_proj", "chain_proj")
 
-# Tensors whose gradient one matmul assigns whole; every other gradient is
-# scattered row by row into a zero-filled table.
-_MATMUL_GRADS = ("entity", "subject_proj", "relation_proj", "time_proj", "chain_proj")
+# The model's own tables whose gradient is scattered row by row into a
+# zero-filled table; one matmul assigns each other gradient whole, and the
+# encoder scatters its own.
+_SCATTERED_GRADS = ("relation", "relation_static")
 
 
 class Variant(enum.Enum):
@@ -93,10 +94,6 @@ def pool_rows(x: np.ndarray, rank: int) -> np.ndarray:
     if width % rank != 0:
         raise ShapeError(f"cannot pool width {width} with rank {rank}")
     return x.reshape(n, width // rank, rank).sum(axis=2)
-
-
-def expand_pool_grad(upstream: np.ndarray, rank: int) -> np.ndarray:
-    return np.repeat(upstream, rank, axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -481,16 +478,17 @@ class Model:
                 f"({cache.size}, {p.num_entities})"
             )
         tensors = p.tensors()
-        grads = {name: np.zeros_like(t) for name, t in tensors.items()
-                 if name not in _MATMUL_GRADS}
+        grads = {name: np.zeros_like(tensors[name]) for name in _SCATTERED_GRADS
+                 if name in tensors}
         # logits = g @ entity^T; the subject rows are scattered in below
         grads["entity"] = dlogits.T @ cache.g
 
-        # dg and dh are fresh temporaries, updated in place from here on
+        # dg and dh are fresh temporaries, updated in place from here on; each
+        # B x (k*d) temporary is deleted once nothing else reads it
         dg = dlogits @ p.entity
         if cache.keep_hidden is not None:
             _apply_keep(dg, cache.keep_hidden, cache.dropout_hidden)
-        dh = expand_pool_grad(dg, p.rank)
+        dh = np.repeat(dg, p.rank, axis=1)
         if cache.keep_input is not None:
             _apply_keep(dh, cache.keep_input, cache.dropout_input)
 
@@ -502,17 +500,21 @@ class Model:
                 dinner = dw @ p.chain_proj.T
             else:
                 dinner = dw
+            del dh, dw
             db = dinner * cache.c
             dc = np.multiply(dinner, cache.b, out=dinner)
             grads["time_proj"] = cache.time.T @ dc
             dtime = dc @ p.time_proj.T
+            del dinner, dc
         else:
             da = dh * cache.b
             db = np.multiply(dh, cache.a, out=dh)
+            del dh
             dtime = None
 
         grads["relation_proj"] = cache.rel_in.T @ db
         drel_in = db @ p.relation_proj.T
+        del db
         if p.variant in (Variant.T, Variant.TNT):
             if p.variant is Variant.TNT:
                 np.add.at(grads["relation_static"], cache.p_idx, drel_in)
@@ -529,9 +531,6 @@ class Model:
         if dtime is not None:
             p.encoder.scatter_grad(cache.t_idx, dtime, grads)
         return {name: grads[name] for name in tensors}
-
-    def count_parameters(self) -> int:
-        return self.params.count_parameters()
 
 
 def _dropout_keep(shape, rate: float, training: bool,

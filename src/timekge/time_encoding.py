@@ -10,6 +10,13 @@ temporal scoring variants:
   base-10 digits of the year), and the embedding is the sum of one
   learned row per component.
 
+Both are one learned table whose rows a timestamp selects and sums: the
+simple table has a row per timestamp, the cyclic one stacks the 14
+component tables (627 rows) and selects 14 rows. The stacked table is
+stored once; :meth:`CyclicTimeEncoder.tensors` names its 14 row ranges
+``time_<component>``, so parameter layouts, optimizer state and
+checkpoints keep one tensor (and one file) per component.
+
 Conventions are zero-based everywhere: the first day of a month is
 ``day_of_month == 0``, Monday is ``day_of_week == 0``, and seasons are
 calendar quarters (months 0-2 form season 0) so that every seasonal
@@ -17,7 +24,7 @@ component is an exact function of month and day.
 """
 
 import datetime as dt
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -105,29 +112,6 @@ def decompose_date(date: dt.date) -> CycleIndices:
     )
 
 
-def encode_simple(t: int, table: np.ndarray) -> np.ndarray:
-    """Row ``t`` of a per-timestamp embedding table."""
-    if not 0 <= t < table.shape[0]:
-        raise IndexError(f"timestamp index {t} out of range [0, {table.shape[0]})")
-    return table[t]
-
-
-def encode_cyclic(indices: CycleIndices, tables: dict[str, np.ndarray]) -> np.ndarray:
-    """Sum of the 14 component rows selected by ``indices``."""
-    missing = [c for c in COMPONENTS if c not in tables]
-    if missing:
-        raise ShapeError(f"missing cycle tables: {missing}")
-    out = None
-    for comp, idx in zip(COMPONENTS, indices):
-        tab = tables[comp]
-        if not 0 <= idx < tab.shape[0]:
-            raise IndexError(
-                f"{comp} index {idx} out of range [0, {tab.shape[0]})"
-            )
-        out = tab[idx].copy() if out is None else out + tab[idx]
-    return out
-
-
 class SimpleTimeEncoder:
     """One independent embedding row per timestamp index."""
 
@@ -138,21 +122,9 @@ class SimpleTimeEncoder:
             raise ShapeError(f"time table must be 2-d, got shape {table.shape}")
         self.table = table
 
-    @classmethod
-    def create(cls, num_timestamps: int, dim: int, rng: np.random.Generator,
-               scale: float = 0.05) -> "SimpleTimeEncoder":
-        return cls(rng.normal(0.0, scale, size=(num_timestamps, dim)))
-
     @property
     def dim(self) -> int:
         return self.table.shape[1]
-
-    @property
-    def num_timestamps(self) -> int:
-        return self.table.shape[0]
-
-    def encode(self, t: int) -> np.ndarray:
-        return encode_simple(t, self.table)
 
     def encode_batch(self, timestamps) -> np.ndarray:
         ts = np.asarray(timestamps, dtype=np.int64)
@@ -165,73 +137,70 @@ class SimpleTimeEncoder:
 
     def scatter_grad(self, timestamps, upstream: np.ndarray,
                      grads: dict[str, np.ndarray]) -> None:
-        """Accumulate d(loss)/d(time rows) into ``grads['time']``."""
-        ts = np.asarray(timestamps, dtype=np.int64)
-        np.add.at(grads["time"], ts, upstream)
+        """Set ``grads['time']`` to d(loss)/d(time rows)."""
+        grad = np.zeros_like(self.table)
+        np.add.at(grad, np.asarray(timestamps, dtype=np.int64), upstream)
+        grads["time"] = grad
 
 
 class CyclicTimeEncoder:
     """Summed cycle-component embeddings, decomposition cached per timestamp.
 
-    ``component_rows[t, j]`` is the row of component ``COMPONENTS[j]``
-    selected by timestamp index ``t``; it is a pure function of the
-    vocabulary's date list and is computed once.
+    The 14 component tables are row ranges of one stacked table, in
+    canonical order; ``component_rows[t, j]`` is the row of component
+    ``COMPONENTS[j]`` that timestamp index ``t`` selects, counted within
+    that component. It is a pure function of the vocabulary's date list
+    and is computed once.
     """
 
     kind = "cte"
 
     def __init__(self, tables: dict[str, np.ndarray], component_rows: np.ndarray):
-        dims = {tab.shape[1] for tab in tables.values()}
-        if set(tables) != set(COMPONENTS) or len(dims) != 1:
-            raise ShapeError("cycle tables must cover all 14 components with one shared dim")
+        if set(tables) != set(COMPONENTS):
+            raise ShapeError("cycle tables must cover exactly the 14 components")
+        dim = tables[COMPONENTS[0]].shape[-1]
+        for comp, card in _CARDINALITIES.items():
+            # once stacked, a table of the wrong length would read its neighbour's rows
+            if tables[comp].shape != (card, dim):
+                raise ShapeError(f"{comp} table has shape {tables[comp].shape}, "
+                                 f"expected {(card, dim)}")
         if component_rows.ndim != 2 or component_rows.shape[1] != len(COMPONENTS):
             raise ShapeError(f"component_rows must be (T, 14), got {component_rows.shape}")
-        self.tables = {c: tables[c] for c in COMPONENTS}
+        self.table = np.concatenate([tables[c] for c in COMPONENTS])
+        self.offsets = np.cumsum([0, *_CARDINALITIES.values()])
         self.component_rows = component_rows
-
-    @classmethod
-    def create(cls, dates: Sequence[dt.date], dim: int, rng: np.random.Generator,
-               scale: float = 0.05) -> "CyclicTimeEncoder":
-        tables = {
-            comp: rng.normal(0.0, scale, size=(card, dim))
-            for comp, card in _CARDINALITIES.items()
-        }
-        return cls(tables, component_rows_for(dates))
 
     @property
     def dim(self) -> int:
-        return self.tables["day_of_week"].shape[1]
+        return self.table.shape[1]
 
-    @property
-    def num_timestamps(self) -> int:
-        return self.component_rows.shape[0]
-
-    def encode(self, t: int) -> np.ndarray:
-        if not 0 <= t < self.component_rows.shape[0]:
-            raise IndexError(f"timestamp index {t} out of range")
-        rows = self.component_rows[t]
-        return encode_cyclic(CycleIndices(*rows.tolist()), self.tables)
+    def _rows(self, ts: np.ndarray) -> np.ndarray:
+        """(B, 14) rows of the stacked table that the timestamps select."""
+        return self.component_rows[ts] + self.offsets[:-1]
 
     def encode_batch(self, timestamps) -> np.ndarray:
         ts = np.asarray(timestamps, dtype=np.int64)
         if ts.size and (ts.min() < 0 or ts.max() >= self.component_rows.shape[0]):
             raise IndexError("timestamp index out of range")
-        out = np.zeros((ts.shape[0], self.dim))
-        rows = self.component_rows[ts]
-        for j, comp in enumerate(COMPONENTS):
-            out += self.tables[comp][rows[:, j]]
-        return out
+        return self.table[self._rows(ts)].sum(axis=1)
 
     def tensors(self) -> dict[str, np.ndarray]:
-        return {f"time_{c}": self.tables[c] for c in COMPONENTS}
+        """One named row-slice view of the stacked table per component."""
+        return _component_views(self.table, self.offsets)
 
     def scatter_grad(self, timestamps, upstream: np.ndarray,
                      grads: dict[str, np.ndarray]) -> None:
-        """Route the time-embedding gradient additively to all 14 rows."""
-        ts = np.asarray(timestamps, dtype=np.int64)
-        rows = self.component_rows[ts]
-        for j, comp in enumerate(COMPONENTS):
-            np.add.at(grads[f"time_{comp}"], rows[:, j], upstream)
+        """Set each ``grads['time_<component>']``, routing every upstream row
+        additively to the 14 rows its timestamp selects."""
+        grad = np.zeros_like(self.table)
+        rows = self._rows(np.asarray(timestamps, dtype=np.int64))
+        np.add.at(grad, rows, upstream[:, None, :])
+        grads.update(_component_views(grad, self.offsets))
+
+
+def _component_views(stacked: np.ndarray, offsets: np.ndarray) -> dict[str, np.ndarray]:
+    return {f"time_{c}": stacked[offsets[j]:offsets[j + 1]]
+            for j, c in enumerate(COMPONENTS)}
 
 
 def component_rows_for(dates: Iterable[dt.date]) -> np.ndarray:

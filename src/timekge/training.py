@@ -482,8 +482,8 @@ def load_checkpoint(directory, dataset: Dataset) -> tuple[ModelParams, dict]:
     """Restore parameters saved by :func:`save_checkpoint`.
 
     The dataset is required both to verify that the checkpoint was
-    trained on the same vocabularies and to rebuild the cyclic encoder's
-    per-timestamp decomposition cache.
+    trained on the same vocabularies and timestamp count and to rebuild
+    the cyclic encoder's per-timestamp decomposition cache.
     """
     directory = Path(directory)
     manifest_path = directory / "manifest.json"
@@ -500,6 +500,15 @@ def load_checkpoint(directory, dataset: Dataset) -> tuple[ModelParams, dict]:
     if manifest["vocab_hashes"] != hashes:
         raise CheckpointVocabError(
             "checkpoint vocabulary hashes do not match this dataset")
+    rate = manifest.get("time_sampling_rate", 1)
+    if rate < 1:
+        raise CheckpointCorruptError(
+            f"manifest field 'time_sampling_rate' must be >= 1, got {rate}")
+    dates = resample_dates(dataset.vocab.dates, rate)
+    if manifest.get("num_timestamps") not in (None, len(dates)):
+        raise CheckpointCorruptError(
+            f"manifest field 'num_timestamps' is {manifest['num_timestamps']}, but the "
+            f"dataset has {len(dates)} timestamps at sampling rate {rate}")
 
     dims = manifest["dims"]
     layout = param_layout(
@@ -529,7 +538,6 @@ def load_checkpoint(directory, dataset: Dataset) -> tuple[ModelParams, dict]:
         if tensor.size and not (np.isfinite(tensor.min()) and np.isfinite(tensor.max())):
             raise CheckpointCorruptError(f"{path.name}: tensor {name!r} holds non-finite values")
 
-    dates = resample_dates(dataset.vocab.dates, manifest.get("time_sampling_rate", 1))
     params = ModelParams.from_tensors(Variant.from_string(manifest["variant"]),
                                       manifest["rank"], tensors,
                                       manifest.get("encoder"), dates)

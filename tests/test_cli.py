@@ -176,6 +176,25 @@ class TestEvaluate:
         err = capsys.readouterr().err
         assert err.startswith("error:") and repr(field) in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("field, value", [("num_timestamps", 3),
+                                              ("time_sampling_rate", 0)])
+    def test_time_field_disagreeing_with_dataset_exits_1(self, tmp_path, capsys,
+                                                          field, value):
+        code, out = run_train(tmp_path)
+        ckpt = out / "checkpoint-best"
+        manifest = json.loads((ckpt / "manifest.json").read_text())
+        manifest[field] = value
+        if field == "num_timestamps":
+            # a time table that matches the manifest, so only the dataset disagrees
+            manifest["tensors"]["time"][0] = value
+            rows = np.fromfile(ckpt / "time.bin", dtype="<f8")
+            rows[:value * manifest["dims"]["time"]].tofile(ckpt / "time.bin")
+        (ckpt / "manifest.json").write_text(json.dumps(manifest))
+        capsys.readouterr()
+        assert main(["evaluate", "--checkpoint", str(ckpt), "--dataset", SYNTH]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and repr(field) in err and "Traceback" not in err
+
     def test_non_finite_logits_exit_3(self, tmp_path, capsys):
         code, out = run_train(tmp_path)
         assert code == 0

@@ -1,4 +1,4 @@
-"""The demos that exercise the data pipeline, training and count exports run clean."""
+"""Every numbered demo runs clean, so a removed name cannot leave one broken."""
 
 import os
 import subprocess
@@ -11,7 +11,8 @@ ROOT = Path(__file__).resolve().parent.parent
 
 
 @pytest.mark.parametrize("demo", [
-    "02_dataset_pipeline.py", "05_train_and_evaluate.py", "06_count_exports.py",
+    "01_kernels_and_gradcheck.py", "02_dataset_pipeline.py", "03_time_cycles.py",
+    "04_scoring_variants.py", "05_train_and_evaluate.py", "06_count_exports.py",
 ])
 def test_demo_exits_cleanly(demo):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(

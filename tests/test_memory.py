@@ -60,11 +60,13 @@ def test_no_batch_survives_into_the_next(variant):
 
 def test_training_peak_holds_only_what_backward_reads():
     # at the backward peak: dlogits, the cached a and b, the bool input
-    # keep-mask, dh and da, the gradients, and a dozen B x D row arrays;
-    # live targets or logits would add 2 x B x E values, a float mask 7 x B x W bytes
+    # keep-mask, dh and da, the gradients, and seven B x D row arrays (subj,
+    # rel, rel_in, time, g, dg, drel_in) with two to spare; live targets or
+    # logits would add 2 x B x E values, a float mask 7 x B x W bytes, and dh
+    # kept past drel_in the subject-projection gradient and three B x D arrays
     one, _, model = train_peaks("tnt")
     grads = sum(t.nbytes for t in model.params.tensors().values())
-    bound = 8 * (B * E + 4 * B * W + 12 * B * D) + B * W + grads
+    bound = 8 * (B * E + 4 * B * W + 9 * B * D) + B * W + grads
     assert one < bound
 
 

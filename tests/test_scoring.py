@@ -513,7 +513,7 @@ class TestCountParameters:
         model = tiny_model("lowfer")
         n_ent, n_rel, d, k = 5, 3, 4, 2
         expected = n_ent * d + 2 * n_rel * d + 2 * k * d * d
-        assert model.count_parameters() == expected
+        assert model.params.count_parameters() == expected
 
     def test_ftp_adds_time_projection_and_table(self):
         model = tiny_model("ftp")
@@ -521,7 +521,7 @@ class TestCountParameters:
         expected = n_ent * d + 2 * n_rel * d + 2 * d * d  # rank 1 projections
         expected += d * d        # time projection
         expected += n_t * d      # simple time table
-        assert model.count_parameters() == expected
+        assert model.params.count_parameters() == expected
 
     def test_cfb_adds_chain_and_time_projection(self):
         model = tiny_model("cfb")
@@ -530,4 +530,4 @@ class TestCountParameters:
         expected += k * d * d      # time projection (dim_time == d)
         expected += (k * d) ** 2   # chain projection
         expected += n_t * d        # simple time table
-        assert model.count_parameters() == expected
+        assert model.params.count_parameters() == expected

@@ -7,15 +7,13 @@ import pytest
 
 from timekge.time_encoding import (
     COMPONENTS,
-    CycleIndices,
     CyclicTimeEncoder,
     SimpleTimeEncoder,
     component_rows_for,
     cycle_cardinalities,
     decompose_date,
-    encode_cyclic,
-    encode_simple,
 )
+from timekge.errors import ShapeError
 
 DAYS_IN_MONTH = [31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31]
 
@@ -124,34 +122,62 @@ class TestDecomposeDate:
             assert c.day_of_year == sum(months[:c.month_of_year]) + c.day_of_month
 
 
+def random_tables(dim, rng):
+    """One separately allocated random table per cycle component."""
+    return {comp: rng.standard_normal((card, dim))
+            for comp, card in cycle_cardinalities().items()}
+
+
+def loop_encode(tensors, component_rows, ts):
+    """The cyclic encoding as 14 gathers from the ``time_<component>``
+    tensors, summed in component order."""
+    rows = component_rows[np.asarray(ts, dtype=np.int64)]
+    out = np.zeros((rows.shape[0], tensors["time_day_of_week"].shape[1]))
+    for j, comp in enumerate(COMPONENTS):
+        out += tensors[f"time_{comp}"][rows[:, j]]
+    return out
+
+
+def loop_scatter(tensors, component_rows, ts, upstream):
+    """The cyclic gradient as one add.at per ``time_<component>`` tensor."""
+    rows = component_rows[np.asarray(ts, dtype=np.int64)]
+    grads = {name: np.zeros_like(t) for name, t in tensors.items()}
+    for j, comp in enumerate(COMPONENTS):
+        np.add.at(grads[f"time_{comp}"], rows[:, j], upstream)
+    return grads
+
+
 class TestSimpleEncoder:
     def test_lookup_is_table_row(self):
         rng = np.random.default_rng(0)
         table = rng.standard_normal((5, 3))
-        np.testing.assert_array_equal(encode_simple(0, table), table[0])
-        np.testing.assert_array_equal(encode_simple(4, table), table[4])
+        enc = SimpleTimeEncoder(table)
+        np.testing.assert_array_equal(enc.encode_batch([0, 4]), table[[0, 4]])
 
     def test_out_of_range(self):
-        table = np.zeros((5, 3))
-        with pytest.raises(IndexError):
-            encode_simple(5, table)
+        enc = SimpleTimeEncoder(np.zeros((5, 3)))
+        for bad in ([5], [-1], [0, 5]):
+            with pytest.raises(IndexError):
+                enc.encode_batch(bad)
 
     def test_rows_are_independent_parameters(self):
         rng = np.random.default_rng(1)
-        enc = SimpleTimeEncoder.create(4, 6, rng)
+        enc = SimpleTimeEncoder(rng.standard_normal((4, 6)))
+        before = enc.encode_batch([3])
         enc.table[2] += 10.0
-        np.testing.assert_array_equal(enc.encode(3), enc.table[3])
+        np.testing.assert_array_equal(enc.encode_batch([3]), before)
+        np.testing.assert_array_equal(enc.encode_batch([3])[0], enc.table[3])
 
     def test_batch_equals_per_element(self):
         rng = np.random.default_rng(2)
-        enc = SimpleTimeEncoder.create(7, 4, rng)
+        enc = SimpleTimeEncoder(rng.standard_normal((7, 4)))
         ts = [3, 0, 3, 6]
         batch = enc.encode_batch(ts)
         for i, t in enumerate(ts):
-            np.testing.assert_array_equal(batch[i], enc.encode(t))
+            np.testing.assert_array_equal(batch[i], enc.encode_batch([t])[0])
 
     def test_empty_batch(self):
-        enc = SimpleTimeEncoder.create(3, 5, np.random.default_rng(0))
+        enc = SimpleTimeEncoder(np.random.default_rng(0).standard_normal((3, 5)))
         assert enc.encode_batch([]).shape == (0, 5)
 
 
@@ -159,11 +185,15 @@ class TestCyclicEncoder:
     def dates(self, n=10, start=dt.date(2014, 1, 1)):
         return [start + dt.timedelta(days=i) for i in range(n)]
 
+    def encoder(self, dim, rng, dates=None):
+        return CyclicTimeEncoder(random_tables(dim, rng),
+                                 component_rows_for(dates or self.dates()))
+
     def test_zero_tables_give_zero(self):
-        c = decompose_date(dt.date(2014, 3, 5))
         tables = {comp: np.zeros((card, 4))
                   for comp, card in cycle_cardinalities().items()}
-        np.testing.assert_array_equal(encode_cyclic(c, tables), np.zeros(4))
+        enc = CyclicTimeEncoder(tables, component_rows_for(self.dates()))
+        np.testing.assert_array_equal(enc.encode_batch([0, 9]), np.zeros((2, 4)))
 
     def test_single_nonzero_table(self):
         c = decompose_date(dt.date(2014, 3, 5))
@@ -171,29 +201,73 @@ class TestCyclicEncoder:
                   for comp, card in cycle_cardinalities().items()}
         rng = np.random.default_rng(3)
         tables["month_of_year"] = rng.standard_normal((12, 4))
+        enc = CyclicTimeEncoder(tables, component_rows_for([dt.date(2014, 3, 5)]))
         np.testing.assert_array_equal(
-            encode_cyclic(c, tables), tables["month_of_year"][c.month_of_year])
+            enc.encode_batch([0])[0], tables["month_of_year"][c.month_of_year])
 
     def test_out_of_range_index(self):
-        tables = {comp: np.zeros((card, 4))
-                  for comp, card in cycle_cardinalities().items()}
-        bad = CycleIndices(7, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0)
-        with pytest.raises(IndexError, match="day_of_week"):
-            encode_cyclic(bad, tables)
+        enc = self.encoder(4, np.random.default_rng(0))
+        for bad in ([10], [-1], [0, 10]):
+            with pytest.raises(IndexError):
+                enc.encode_batch(bad)
+
+    def test_wrong_row_count_refused(self):
+        # stacked, a short day_of_week table would read day_of_month rows
+        tables = random_tables(4, np.random.default_rng(0))
+        tables["day_of_week"] = tables["day_of_week"][:6]
+        with pytest.raises(ShapeError, match="day_of_week"):
+            CyclicTimeEncoder(tables, component_rows_for(self.dates()))
 
     def test_encoding_is_sum_of_component_rows(self):
         rng = np.random.default_rng(4)
-        enc = CyclicTimeEncoder.create(self.dates(), 6, rng)
+        enc = self.encoder(6, rng)
+        tables = enc.tensors()
         for t in (0, 4, 9):
             c = decompose_date(self.dates()[t])
-            expected = sum(enc.tables[comp][idx] for comp, idx in zip(COMPONENTS, c))
+            expected = sum(tables[f"time_{comp}"][idx] for comp, idx in zip(COMPONENTS, c))
             np.testing.assert_allclose(enc.encode_batch([t])[0], expected, rtol=1e-15)
+
+    def test_matches_per_component_loop(self):
+        rng = np.random.default_rng(10)
+        dates = self.dates(n=400, start=dt.date(2011, 11, 20))
+        enc = self.encoder(7, rng, dates)
+        tables = enc.tensors()
+        for ts in ([], [5], [3, 3, 3], rng.integers(0, len(dates), size=300)):
+            np.testing.assert_array_equal(
+                enc.encode_batch(ts), loop_encode(tables, enc.component_rows, ts))
+            upstream = rng.standard_normal((len(ts), 7))
+            grads = {}
+            enc.scatter_grad(ts, upstream, grads)
+            expected = loop_scatter(tables, enc.component_rows, ts, upstream)
+            assert list(grads) == list(expected)
+            for name in expected:
+                np.testing.assert_array_equal(grads[name], expected[name])
+
+    def test_tensors_are_views_of_the_stacked_table(self):
+        from timekge.training import AdamState, adam_step
+
+        rng = np.random.default_rng(11)
+        enc = self.encoder(5, rng)
+        tensors = enc.tensors()
+        assert list(tensors) == [f"time_{c}" for c in COMPONENTS]
+        assert [t.shape[0] for t in tensors.values()] == list(cycle_cardinalities().values())
+        for view in tensors.values():
+            assert np.shares_memory(view, enc.table)
+        before = enc.encode_batch([2, 7])
+        grads = {}
+        enc.scatter_grad([2, 7], np.ones((2, 5)), grads)
+        adam_step(tensors, grads, AdamState.for_params(tensors), lr=0.1)
+        after = enc.encode_batch([2, 7])
+        assert not np.any(after == before)
+        np.testing.assert_array_equal(
+            after, loop_encode(enc.tensors(), enc.component_rows, [2, 7]))
 
     def test_week_apart_difference_excludes_weekday_row(self):
         # both dates inside January 2014: only day/week positions move
         dates = self.dates(n=20)
         rng = np.random.default_rng(5)
-        enc = CyclicTimeEncoder.create(dates, 8, rng)
+        enc = self.encoder(8, rng, dates)
+        tables = enc.tensors()
         a, b = 2, 9  # Jan 3 and Jan 10, seven days apart
         ca, cb = decompose_date(dates[a]), decompose_date(dates[b])
         assert ca.day_of_week == cb.day_of_week
@@ -201,7 +275,7 @@ class TestCyclicEncoder:
         expected = np.zeros(8)
         for comp, ia, ib in zip(COMPONENTS, ca, cb):
             if ia != ib:
-                expected += enc.tables[comp][ia] - enc.tables[comp][ib]
+                expected += tables[f"time_{comp}"][ia] - tables[f"time_{comp}"][ib]
         assert {c for c, ia, ib in zip(COMPONENTS, ca, cb) if ia != ib} == {
             "day_of_month", "week_of_month", "day_of_season", "week_of_season",
             "day_of_year", "week_of_year"}
@@ -209,16 +283,16 @@ class TestCyclicEncoder:
 
     def test_linear_in_tables(self):
         rng = np.random.default_rng(6)
-        enc = CyclicTimeEncoder.create(self.dates(), 5, rng)
+        enc = self.encoder(5, rng)
         before = enc.encode_batch([3, 7])
-        for table in enc.tables.values():
+        for table in enc.tensors().values():
             table *= 2.5
         np.testing.assert_allclose(enc.encode_batch([3, 7]), 2.5 * before, rtol=1e-15)
 
     def test_scatter_routes_upstream_to_all_components(self):
         rng = np.random.default_rng(7)
-        enc = CyclicTimeEncoder.create(self.dates(), 3, rng)
-        grads = {name: np.zeros_like(t) for name, t in enc.tensors().items()}
+        enc = self.encoder(3, rng)
+        grads = {}
         upstream = rng.standard_normal((2, 3))
         enc.scatter_grad([1, 1], upstream, grads)
         c = decompose_date(self.dates()[1])
@@ -233,24 +307,51 @@ class TestCyclicEncoder:
         from timekge.gradcheck import finite_diff_check
 
         rng = np.random.default_rng(8)
-        enc = CyclicTimeEncoder.create(self.dates(), 4, rng)
+        enc = self.encoder(4, rng)
         ts = [0, 3, 3, 8]
         weights = rng.standard_normal((4, 4))
 
         def loss():
             return float((enc.encode_batch(ts) * weights).sum())
 
-        grads = {name: np.zeros_like(t) for name, t in enc.tensors().items()}
+        grads = {}
         enc.scatter_grad(ts, weights, grads)
         report = finite_diff_check(loss, enc.tensors(), grads, epsilon=1e-5)
         assert report.max_rel_error < 1e-6
 
     def test_batch_empty_and_repeats(self):
         rng = np.random.default_rng(9)
-        enc = CyclicTimeEncoder.create(self.dates(), 4, rng)
+        enc = self.encoder(4, rng)
         assert enc.encode_batch([]).shape == (0, 4)
         batch = enc.encode_batch([5, 5])
         np.testing.assert_array_equal(batch[0], batch[1])
+
+
+def test_checkpoint_of_fourteen_files_loads_into_the_stacked_table(tmp_path):
+    from timekge.datasets import Dataset, synthetic_dataset_dir
+    from timekge.scoring import init_params
+    from timekge.training import load_checkpoint, save_checkpoint
+
+    ds = Dataset.from_dir(synthetic_dataset_dir())
+    vocab = ds.vocab
+    params = init_params("t", vocab.num_entities, vocab.num_relations, rank=2, dim_entity=4,
+                         encoder="cte", dates=vocab.dates, rng=np.random.default_rng(0))
+    save_checkpoint(tmp_path / "ckpt", params, vocab_hashes=vocab.hashes(), epoch=0,
+                    seed=0, num_timestamps=vocab.num_timestamps)
+    # v1 stores one raw little-endian file per component table
+    tables = {f"time_{comp}": t for comp, t in random_tables(4, np.random.default_rng(12)).items()}
+    for name, table in tables.items():
+        table.astype("<f8").tofile(tmp_path / "ckpt" / f"{name}.bin")
+    loaded, _ = load_checkpoint(tmp_path / "ckpt", ds)
+    ts = np.arange(vocab.num_timestamps)
+    np.testing.assert_array_equal(loaded.encoder.encode_batch(ts),
+                                  loop_encode(tables, component_rows_for(vocab.dates), ts))
+    # and saving it again writes the same 14 files
+    save_checkpoint(tmp_path / "again", loaded, vocab_hashes=vocab.hashes(), epoch=0,
+                    seed=0, num_timestamps=vocab.num_timestamps)
+    for comp in COMPONENTS:
+        name = f"time_{comp}.bin"
+        assert (tmp_path / "again" / name).read_bytes() == (tmp_path / "ckpt" / name).read_bytes()
 
 
 def test_component_rows_precompute_matches_decomposition():
