@@ -166,7 +166,8 @@ def cmd_evaluate(args) -> int:
     dataset = Dataset.from_dir(args.dataset)
     params, manifest = load_checkpoint(args.checkpoint, dataset)
     splits, _ = prepare_splits(dataset, int(manifest.get("time_sampling_rate", 1)))
-    flt = build_filter(list(splits.values()))
+    # raw ranking reads no filter
+    flt = build_filter(list(splits.values())) if args.mode == "filtered" else None
     metrics = evaluate(Model(params), splits[args.split], flt, mode=args.mode)
     _print_json({"split": args.split, "mode": args.mode, **metrics.to_dict()})
     return 0

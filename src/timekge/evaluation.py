@@ -9,6 +9,12 @@ key includes the timestamp, so a fact that only holds at another time
 still competes. Equal scores are ranked with the mean tie policy, which
 keeps a constant scorer at the expected middle rank instead of
 flattering it.
+
+Queries are ranked in chunks of the subject order: the forward pass
+projects each distinct subject of a chunk once, and sorting puts the
+queries of one subject in as few chunks as possible. Ranks are stored by
+input position before any metric is averaged, so the order changes no
+result, and errors name input positions and keys in input order.
 """
 
 import csv
@@ -97,7 +103,8 @@ def evaluate(model, quads: np.ndarray, flt: TargetIndex | None,
 
     Dropout stays off, so evaluation is deterministic. ``tail`` metrics
     cover the original facts, ``head`` their reciprocal twins. Raises
-    :class:`NumericError` if any logit is non-finite. The filter is the
+    :class:`NumericError`, naming the queries' input positions, if any
+    logit is non-finite. The filter is the
     :class:`TargetIndex` that :func:`build_filter` returns; the logits
     ``model.forward`` returns are masked in place.
     """
@@ -108,10 +115,11 @@ def evaluate(model, quads: np.ndarray, flt: TargetIndex | None,
                         f"got {type(flt).__name__}")
     quads = np.asarray(quads, dtype=np.int64).reshape(-1, 4)
     num_relations = model.params.relation.shape[0] // 2
+    order = np.argsort(quads[:, 0], kind="stable")
     ranks = np.empty(quads.shape[0])
     for start in range(0, quads.shape[0], batch_size):
-        chunk = quads[start:start + batch_size]
-        ranks[start:start + chunk.shape[0]] = _chunk_ranks(model, chunk, flt, mode, start)
+        rows = order[start:start + batch_size]
+        ranks[rows] = _chunk_ranks(model, quads, rows, flt, mode)
     is_head = quads[:, 1] >= num_relations
     tail = DirectionMetrics.from_ranks(ranks[~is_head])
     head = DirectionMetrics.from_ranks(ranks[is_head])
@@ -123,28 +131,41 @@ def evaluate(model, quads: np.ndarray, flt: TargetIndex | None,
     )
 
 
-def _chunk_ranks(model, chunk: np.ndarray, flt: TargetIndex | None, mode: str,
-                 start: int) -> np.ndarray:
-    """Mean-tie ranks of one chunk of queries; its arrays die with the call."""
+def _chunk_ranks(model, quads: np.ndarray, rows: np.ndarray, flt: TargetIndex | None,
+                 mode: str) -> np.ndarray:
+    """Mean-tie ranks of the queries ``quads[rows]``; its arrays die with the call."""
+    chunk = quads[rows]
     # the forward cache is dropped at once: ranking reads only the logits
     logits = model.forward(chunk[:, 0], chunk[:, 1], chunk[:, 3], training=False)[0]
     # every comparison with NaN is false, so a NaN would rank first
     if not np.isfinite(logits).all():
-        raise NumericError(
-            f"non-finite logits for queries {start}..{start + chunk.shape[0] - 1}")
+        bad = np.sort(rows[~np.isfinite(logits).all(axis=1)])
+        more = f", ... ({bad.size} in all)" if bad.size > 5 else ""
+        raise NumericError("non-finite logits for queries at input positions "
+                           f"{', '.join(map(str, bad[:5].tolist()))}{more}")
     true = chunk[:, 2]
     if mode == "filtered":
         try:
-            rows, known = flt.lookup(chunk[:, [0, 1, 3]])
+            hit, known = flt.lookup(chunk[:, [0, 1, 3]])
         except MissingKeyError as exc:
-            raise DataError(f"no filter entry for key {exc.key}; "
-                            "the filter must be built from all splits") from None
-        other = known != true[rows]
-        logits[rows[other], known[other]] = -np.inf
+            raise _missing_key_error(flt, quads, exc.key) from None
+        other = known != true[hit]
+        logits[hit[other], known[other]] = -np.inf
     s_true = logits[np.arange(chunk.shape[0]), true][:, None]
     greater = np.count_nonzero(logits > s_true, axis=1)
     ties = np.count_nonzero(logits == s_true, axis=1) - 1
     return 1.0 + greater + 0.5 * ties
+
+
+def _missing_key_error(flt: TargetIndex, quads: np.ndarray, key) -> DataError:
+    """The error for a ``key`` that ``flt`` lacks, naming instead the first
+    such key in input order, as the chunks run in subject order."""
+    try:
+        flt.lookup(quads[:, [0, 1, 3]])
+    except MissingKeyError as exc:
+        key = exc.key
+    return DataError(f"no filter entry for key {key}; "
+                     "the filter must be built from all splits")
 
 
 # ---------------------------------------------------------------------------

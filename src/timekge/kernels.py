@@ -4,12 +4,17 @@ Everything here is a pure function over numpy arrays. The kernels are
 deliberately unclever: fixed accumulation order, explicit shape checks,
 double precision throughout. The batched fast paths used by the models
 live in :mod:`timekge.scoring`; these reference kernels are what those
-paths are tested against.
+paths are tested against. At the end of the module sit the block size
+and the row gather (into a caller's buffer) that the batched paths share.
 """
 
 import numpy as np
 
 from .errors import ShapeError
+
+# Elementwise passes over large arrays run in chunks of this many float64
+# values (256 KiB), so that each chunk's temporaries stay in cache.
+_CHUNK = 1 << 15
 
 
 def as_f64(x) -> np.ndarray:
@@ -62,3 +67,14 @@ def sum_pool(x, window: int) -> np.ndarray:
             f"sum_pool: length {xv.shape[0]} not divisible by window {window}"
         )
     return xv.reshape(-1, window).sum(axis=1)
+
+
+def take_rows(table: np.ndarray, index: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """``table[index]`` written into the front of the flat buffer ``scratch``.
+
+    Callers pass indices already known to lie in range: ``mode="clip"``
+    lets ``np.take`` write straight into the buffer, where the default
+    mode would gather into a temporary first.
+    """
+    out = scratch[:index.size * table.shape[1]].reshape(*index.shape, table.shape[1])
+    return np.take(table, index, axis=0, out=out, mode="clip")

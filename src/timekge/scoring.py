@@ -18,7 +18,9 @@ dotted against every candidate object embedding (1-N scoring):
 
 ``Us`` is shorthand for ``subject_proj^T e_s`` and likewise for the
 other projections. One core, :func:`_fuse`, states these rules: both
-:meth:`Model.fuse` and the free ``fuse_*`` functions run it. Gradients are
+:meth:`Model.fuse` and the free ``fuse_*`` functions run it.
+:meth:`Model.fuse` projects each distinct subject of a batch once, and
+the rows that share a subject share its projected row. Gradients are
 hand-derived; every parameter path is exercised by finite-difference
 checks in the test suite.
 """
@@ -29,6 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, ShapeError
+from .kernels import _CHUNK, take_rows
 from .time_encoding import (
     COMPONENTS,
     CyclicTimeEncoder,
@@ -39,11 +42,6 @@ from .time_encoding import (
 
 INIT_EMBED_SCALE = 0.05
 INIT_CHAIN_NOISE = 0.01
-
-# Elementwise passes over large arrays run in chunks of this many float64
-# values (256 KiB), so that each chunk's temporaries stay in cache.
-_CHUNK = 1 << 15
-
 
 # The model's own tables in tensors() order; the encoder's tables follow.
 _TABLES = ("entity", "relation", "subject_proj", "relation_proj",
@@ -275,7 +273,8 @@ class FusedBatch:
     rel: np.ndarray             # relation rows (temporal table)
     rel_in: np.ndarray          # vector actually fed into relation_proj
     time: np.ndarray | None     # encoded time embeddings
-    a: np.ndarray               # subject projection
+    a_unique: np.ndarray        # subject projection of each distinct subject
+    a_index: np.ndarray         # batch row -> its subject's row of a_unique
     b: np.ndarray               # relation projection
     c: np.ndarray | None        # time projection (cfb/ftp)
     inner: np.ndarray | None    # b . c before the chain projection
@@ -294,6 +293,11 @@ class FusedBatch:
         return self.g.shape[0]
 
     @property
+    def a(self) -> np.ndarray:
+        """The subject projection of every batch row (a new array)."""
+        return self.a_unique[self.a_index]
+
+    @property
     def mask_input(self) -> np.ndarray | None:
         """The input keep-mask as inverted-dropout factors (a new array)."""
         return _scaled_mask(self.keep_input, self.dropout_input)
@@ -304,14 +308,17 @@ class FusedBatch:
         return _scaled_mask(self.keep_hidden, self.dropout_hidden)
 
 
-def _fuse(params: ModelParams, subj, rel, time, rel_static, *, training: bool = False,
-          dropout_input: float = 0.0, dropout_hidden: float = 0.0,
-          rng: np.random.Generator | None = None) -> FusedBatch:
+def _fuse(params: ModelParams, subj, rel, time, rel_static, first: np.ndarray,
+          inverse: np.ndarray, *, training: bool = False, dropout_input: float = 0.0,
+          dropout_hidden: float = 0.0, rng: np.random.Generator | None = None) -> FusedBatch:
     """The variant rules on 2-D rows; only the projections of ``params`` are read.
 
-    Dropout is only sampled when ``training`` is true: the combined product
-    before pooling gets the input rate, the pooled vector the hidden rate,
-    both inverted (survivors scaled by 1/(1-rate)).
+    ``subj[first]`` holds each distinct subject once and ``inverse`` maps
+    every row to its distinct subject, so the subject projection is formed
+    once per distinct subject. Dropout is only sampled when ``training``
+    is true: the combined product before pooling gets the input rate, the
+    pooled vector the hidden rate, both inverted (survivors scaled by
+    1/(1-rate)).
     """
     variant = params.variant
     if variant is Variant.T:
@@ -323,7 +330,7 @@ def _fuse(params: ModelParams, subj, rel, time, rel_static, *, training: bool = 
     else:  # lowfer; cfb / ftp fuse relation and time after projection
         rel_in = rel
 
-    a = subj @ params.subject_proj
+    a_unique = _project_distinct(subj, first, params.subject_proj)
     b = rel_in @ params.relation_proj
     c = inner = w = None
     if variant in (Variant.CFB, Variant.FTP):
@@ -331,38 +338,61 @@ def _fuse(params: ModelParams, subj, rel, time, rel_static, *, training: bool = 
         inner = b * c
         w = inner @ params.chain_proj if variant is Variant.CFB else inner
 
-    keep_input = _dropout_keep(a.shape, dropout_input, training, rng)
-    g = _product_pool(a, b if w is None else w, keep_input, dropout_input, params.rank)
+    keep_input = _dropout_keep(b.shape, dropout_input, training, rng)
+    g = _product_pool(a_unique, inverse, b if w is None else w, keep_input, dropout_input,
+                      params.rank)
     keep_hidden = _dropout_keep(g.shape, dropout_hidden, training, rng)
     if keep_hidden is not None:
         _apply_keep(g, keep_hidden, dropout_hidden)
 
-    return FusedBatch(subj=subj, rel=rel, rel_in=rel_in, time=time, a=a, b=b, c=c,
-                      inner=inner, w=w, keep_input=keep_input, keep_hidden=keep_hidden,
-                      g=g, dropout_input=dropout_input, dropout_hidden=dropout_hidden)
+    return FusedBatch(subj=subj, rel=rel, rel_in=rel_in, time=time, a_unique=a_unique,
+                      a_index=inverse, b=b, c=c, inner=inner, w=w, keep_input=keep_input,
+                      keep_hidden=keep_hidden, g=g, dropout_input=dropout_input,
+                      dropout_hidden=dropout_hidden)
 
 
-def _product_pool(x: np.ndarray, y: np.ndarray, keep: np.ndarray | None, rate: float,
-                  rank: int) -> np.ndarray:
-    """``pool_rows(x * y)`` with the input keep-mask applied before pooling.
+def _project_distinct(subj: np.ndarray, first: np.ndarray, proj: np.ndarray) -> np.ndarray:
+    """``subj[first] @ proj``, each row rounded as in ``subj @ proj``.
 
-    Rows are formed, masked and pooled a cache-sized block at a time, so
-    the full product never exists; each row is pooled by
-    :func:`pool_rows` as a whole, so the result does not depend on the
-    block size.
+    numpy multiplies a lone row by gemv, whose sums round differently from
+    gemm's; a batch of several rows with one distinct subject projects that
+    subject twice to stay on gemm.
     """
-    n, width = x.shape
+    if first.size == 1 < subj.shape[0]:
+        return (subj[first[[0, 0]]] @ proj)[:1].copy()
+    return subj[first] @ proj
+
+
+def _product_pool(x: np.ndarray, index: np.ndarray, y: np.ndarray, keep: np.ndarray | None,
+                  rate: float, rank: int) -> np.ndarray:
+    """``pool_rows(x[index] * y)`` with the input keep-mask applied before pooling.
+
+    Rows are gathered, formed, masked and pooled a cache-sized block at a
+    time, so neither ``x[index]`` nor the full product ever exists; each
+    row is pooled by :func:`pool_rows` as a whole, so the result does not
+    depend on the block size.
+    """
+    n, width = y.shape
     rows = max(1, _CHUNK // width)
     g = np.empty((n, width // rank))
     scratch = np.empty(min(n, rows) * width)
     for start in range(0, n, rows):
-        stop = min(start + rows, n)
-        h = np.multiply(x[start:stop], y[start:stop],
-                        out=scratch[:(stop - start) * width].reshape(stop - start, width))
+        h = take_rows(x, index[start:start + rows], scratch)
+        h *= y[start:start + rows]
         if keep is not None:
-            _apply_keep(h, keep[start:stop], rate)
-        g[start:stop] = pool_rows(h, rank)
+            _apply_keep(h, keep[start:start + rows], rate)
+        g[start:start + rows] = pool_rows(h, rank)
     return g
+
+
+def _multiply_rows(x: np.ndarray, table: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """``x *= table[index]`` in place, gathering a cache-sized row block at a time."""
+    n, width = x.shape
+    rows = max(1, _CHUNK // width)
+    scratch = np.empty(min(n, rows) * width)
+    for start in range(0, n, rows):
+        x[start:start + rows] *= take_rows(table, index[start:start + rows], scratch)
+    return x
 
 
 def _fuse_vectors(variant: Variant, rank: int, subj, rel, time=None, rel_static=None,
@@ -371,7 +401,8 @@ def _fuse_vectors(variant: Variant, rank: int, subj, rel, time=None, rel_static=
     s, single = _rows(subj)
     rows = [None if x is None else _rows(x)[0] for x in (rel, time, rel_static)]
     weights = ModelParams(variant, rank, entity=None, relation=None, **projections)
-    g = _fuse(weights, s, *rows).g
+    identity = np.arange(s.shape[0])
+    g = _fuse(weights, s, *rows, identity, identity).g
     return g[0] if single else g
 
 
@@ -438,7 +469,8 @@ class Model:
         """Fused query vectors for a batch of (s, p, t) keys.
 
         Gathers the batch's rows and runs the variant rules and dropout of
-        :func:`_fuse`, the core the free ``fuse_*`` functions share.
+        :func:`_fuse`, the core the free ``fuse_*`` functions share, with
+        the subject projection formed once per distinct subject.
         """
         p = self.params
         s_idx = np.asarray(s_idx, dtype=np.int64)
@@ -449,9 +481,10 @@ class Model:
                 raise ShapeError(f"variant {p.variant.value} needs timestamp indices")
             t_idx = np.asarray(t_idx, dtype=np.int64)
             time = p.encoder.encode_batch(t_idx)
+        _, first, inverse = np.unique(s_idx, return_index=True, return_inverse=True)
         batch = _fuse(p, p.entity[s_idx], p.relation[p_idx], time,
                       p.relation_static[p_idx] if p.variant is Variant.TNT else None,
-                      training=training, dropout_input=dropout_input,
+                      first, inverse, training=training, dropout_input=dropout_input,
                       dropout_hidden=dropout_hidden, rng=rng)
         batch.s_idx, batch.p_idx, batch.t_idx = s_idx, p_idx, t_idx
         return batch
@@ -494,7 +527,7 @@ class Model:
 
         if p.variant in (Variant.CFB, Variant.FTP):
             da = dh * cache.w
-            dw = np.multiply(dh, cache.a, out=dh)
+            dw = _multiply_rows(dh, cache.a_unique, cache.a_index)
             if p.variant is Variant.CFB:
                 grads["chain_proj"] = cache.inner.T @ dw
                 dinner = dw @ p.chain_proj.T
@@ -508,7 +541,7 @@ class Model:
             del dinner, dc
         else:
             da = dh * cache.b
-            db = np.multiply(dh, cache.a, out=dh)
+            db = _multiply_rows(dh, cache.a_unique, cache.a_index)
             del dh
             dtime = None
 

@@ -29,6 +29,7 @@ from typing import Iterable, NamedTuple
 import numpy as np
 
 from .errors import ShapeError
+from .kernels import _CHUNK, take_rows
 
 
 class CycleIndices(NamedTuple):
@@ -179,10 +180,22 @@ class CyclicTimeEncoder:
         return self.component_rows[ts] + self.offsets[:-1]
 
     def encode_batch(self, timestamps) -> np.ndarray:
+        """Sum of the 14 selected rows, in canonical order, per timestamp.
+
+        The selected rows are gathered and summed a cache-sized block of
+        timestamps at a time, so the (B, 14, d) gather never exists whole.
+        """
         ts = np.asarray(timestamps, dtype=np.int64)
         if ts.size and (ts.min() < 0 or ts.max() >= self.component_rows.shape[0]):
             raise IndexError("timestamp index out of range")
-        return self.table[self._rows(ts)].sum(axis=1)
+        rows = self._rows(ts)
+        out = np.empty((ts.size, self.dim))
+        block = max(1, _CHUNK // (len(COMPONENTS) * self.dim))
+        scratch = np.empty(min(ts.size, block) * len(COMPONENTS) * self.dim)
+        for start in range(0, ts.size, block):
+            take_rows(self.table, rows[start:start + block], scratch).sum(
+                axis=1, out=out[start:start + block])
+        return out
 
     def tensors(self) -> dict[str, np.ndarray]:
         """One named row-slice view of the stacked table per component."""

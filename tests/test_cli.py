@@ -138,6 +138,20 @@ class TestEvaluate:
             results[mode] = json.loads(capsys.readouterr().out)
         assert results["raw"]["mrr"] <= results["filtered"]["mrr"]
 
+    def test_raw_mode_builds_no_filter(self, tmp_path, capsys, monkeypatch):
+        code, out = run_train(tmp_path)
+        capsys.readouterr()
+
+        def refuse(splits):
+            raise AssertionError("raw ranking built the filter index")
+
+        monkeypatch.setattr("timekge.cli.build_filter", refuse)
+        assert main(["evaluate", "--checkpoint", str(out / "checkpoint-best"),
+                     "--dataset", SYNTH, "--split", "test", "--mode", "raw"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["mode"] == "raw" and payload["num_queries"] == 40
+        assert 0.0 < payload["mrr"] <= 1.0
+
     def test_wrong_dataset_exits_2(self, tmp_path, capsys):
         code, out = run_train(tmp_path)
         other = tmp_path / "other"

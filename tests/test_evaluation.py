@@ -278,11 +278,13 @@ def ranking_problems(draw):
 
 class TestRankingProperty:
     @settings(max_examples=80, deadline=None)
-    @given(ranking_problems())
-    def test_evaluate_equals_per_query_rank_of(self, problem):
+    @given(ranking_problems(), st.data())
+    def test_evaluate_equals_per_query_rank_of(self, problem, data):
         splits, table, batch_size = problem
         flt = build_filter(splits)
         queries = np.concatenate(splits)
+        # any query order: evaluate ranks in subject order and averages in input order
+        queries = queries[data.draw(st.permutations(range(queries.shape[0])))]
         model = TableScorer(table)
         for mode in ("filtered", "raw"):
             ranks = np.array([
@@ -309,6 +311,17 @@ class TestRankingProperty:
             with pytest.raises(NumericError):
                 evaluate(TableScorer(table), queries, build_filter(splits), mode=mode,
                          batch_size=batch_size)
+
+
+    def test_non_finite_logit_names_input_position(self):
+        # in subject order the query at input position 2 comes first, at position 0
+        queries = np.array([[2, 0, 1, 0], [3, 0, 1, 0], [0, 0, 1, 0], [1, 0, 2, 0]])
+        table = np.zeros((4, 2, 1, 4))
+        table[0, 0, 0, 3] = np.nan
+        for mode in ("filtered", "raw"):
+            with pytest.raises(NumericError, match=r"at input positions 2$"):
+                evaluate(TableScorer(table), queries, build_filter([queries]), mode=mode,
+                         batch_size=1)
 
 
 class TestNonFiniteLogits:

@@ -48,6 +48,15 @@ def random_batch(rng, n=4):
             rng.integers(0, TINY["num_timestamps"], size=n))
 
 
+def subject_patterns(rng, n):
+    """Subjects for an n-row batch: all equal, mixed, and all distinct when
+    there are enough entities."""
+    patterns = [np.full(n, 3), rng.integers(0, TINY["num_entities"], size=n)]
+    if n <= TINY["num_entities"]:
+        patterns.append(rng.permutation(TINY["num_entities"])[:n])
+    return patterns
+
+
 class TestFusionExamples:
     def test_lowfer_identity_projections(self):
         g = fuse_lowfer([1.0, 2.0], [3.0, 4.0], np.eye(2), np.eye(2), rank=1)
@@ -287,13 +296,19 @@ class TestRowBlockedForward:
         p = model.params
         block = max(1, _CHUNK // (p.rank * p.dim_entity))
         rng = np.random.default_rng(51)
-        for n in (1, block - 1, block, block + 1):
-            s, pr, t = random_batch(rng, n=n)
-            cache = model.fuse(s, pr, t, training=True, dropout_input=0.3,
-                               dropout_hidden=0.4, rng=rng)
-            right = cache.b if cache.w is None else cache.w
-            expected = pool_rows(cache.a * right * cache.mask_input, p.rank) * cache.mask_hidden
-            assert np.array_equal(cache.g, expected), n
+        for n in (1, TINY["num_entities"], block - 1, block, block + 1):
+            _, pr, t = random_batch(rng, n=n)
+            for s in subject_patterns(rng, n):
+                cache = model.fuse(s, pr, t, training=True, dropout_input=0.3,
+                                   dropout_hidden=0.4, rng=rng)
+                # each distinct subject is projected once, with the rows of
+                # the whole-batch product
+                assert cache.a_unique.shape[0] == np.unique(s).size
+                assert np.array_equal(cache.a, cache.subj @ p.subject_proj), (n, s)
+                right = cache.b if cache.w is None else cache.w
+                expected = pool_rows(cache.a * right * cache.mask_input,
+                                     p.rank) * cache.mask_hidden
+                assert np.array_equal(cache.g, expected), (n, s)
 
 
 class TestBuildGuards:
@@ -416,19 +431,20 @@ class TestBackward:
     def test_matches_unfused_reference_bit_for_bit(self, variant, encoder):
         model = tiny_model(variant, encoder=encoder, seed=30)
         rng = np.random.default_rng(31)
-        s, pr, t = random_batch(rng, n=6)
-        logits, cache = model.forward(s, pr, t, training=True, dropout_input=0.3,
-                                      dropout_hidden=0.4, rng=rng)
-        dlogits = rng.standard_normal(logits.shape)
-        kept = {name: getattr(cache, name) for name in ("a", "b", "g", "mask_input")}
-        kept = {name: value.copy() for name, value in kept.items()}
-        grads = model.backward(cache, dlogits)
-        expected = self.reference_backward(model, cache, dlogits)
-        assert list(grads) == list(expected)
-        for name, grad in grads.items():
-            assert np.array_equal(grad, expected[name]), name
-        for name, value in kept.items():
-            assert np.array_equal(getattr(cache, name), value), name
+        _, pr, t = random_batch(rng, n=TINY["num_entities"])
+        for s in subject_patterns(rng, TINY["num_entities"]):
+            logits, cache = model.forward(s, pr, t, training=True, dropout_input=0.3,
+                                          dropout_hidden=0.4, rng=rng)
+            dlogits = rng.standard_normal(logits.shape)
+            kept = {name: getattr(cache, name) for name in ("a", "b", "g", "mask_input")}
+            kept = {name: value.copy() for name, value in kept.items()}
+            grads = model.backward(cache, dlogits)
+            expected = self.reference_backward(model, cache, dlogits)
+            assert list(grads) == list(expected)
+            for name, grad in grads.items():
+                assert np.array_equal(grad, expected[name]), (name, s)
+            for name, value in kept.items():
+                assert np.array_equal(getattr(cache, name), value), (name, s)
 
     def test_zero_upstream_gives_zero_grads(self):
         model = tiny_model("cfb", seed=5)

@@ -232,7 +232,9 @@ class TestCyclicEncoder:
         dates = self.dates(n=400, start=dt.date(2011, 11, 20))
         enc = self.encoder(7, rng, dates)
         tables = enc.tensors()
-        for ts in ([], [5], [3, 3, 3], rng.integers(0, len(dates), size=300)):
+        # 1000 timestamps span three of encode_batch's row blocks at d=7
+        for ts in ([], [5], [3, 3, 3], rng.integers(0, len(dates), size=300),
+                   rng.integers(0, len(dates), size=1000)):
             np.testing.assert_array_equal(
                 enc.encode_batch(ts), loop_encode(tables, enc.component_rows, ts))
             upstream = rng.standard_normal((len(ts), 7))
