@@ -357,10 +357,19 @@ def _project_distinct(subj: np.ndarray, first: np.ndarray, proj: np.ndarray) -> 
     numpy multiplies a lone row by gemv, whose sums round differently from
     gemm's; a batch of several rows with one distinct subject projects that
     subject twice to stay on gemm.
+
+    The rows are written to the front of a buffer with a row per batch
+    row, so the size of the allocation is fixed by the batch's shape, not
+    by how many subjects it holds; rows past the distinct ones are never
+    written. Sizes that follow the data would let glibc's malloc move its
+    mmap threshold from batch to batch and keep freed blocks in its heap,
+    so the resident peak would depend on the data (by about 20 MB across
+    dataset seeds in benchmark evaluation).
     """
+    out = np.empty((subj.shape[0], proj.shape[1]))
     if first.size == 1 < subj.shape[0]:
-        return (subj[first[[0, 0]]] @ proj)[:1].copy()
-    return subj[first] @ proj
+        return np.matmul(subj[first[[0, 0]]], proj, out=out[:2])[:1]
+    return np.matmul(subj[first], proj, out=out[:first.size])
 
 
 def _product_pool(x: np.ndarray, index: np.ndarray, y: np.ndarray, keep: np.ndarray | None,
