@@ -20,8 +20,6 @@ from pathlib import Path
 
 from .datasets import Dataset, prepare_splits
 from .errors import (
-    CheckpointCorruptError,
-    CheckpointShapeError,
     CheckpointVocabError,
     ConfigError,
     DataError,
@@ -207,6 +205,8 @@ def cmd_encode_time(args) -> int:
 
 
 def cmd_heatmap(args) -> int:
+    if args.time_rate < 1:
+        raise ConfigError("time sampling rate must be >= 1")
     dataset = Dataset.from_dir(args.dataset)
     import numpy as np
 
@@ -285,19 +285,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, CheckpointCorruptError, CheckpointShapeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except (DataError, CheckpointVocabError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except NumericError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except TimekgeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
+    except (TimekgeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -52,10 +52,17 @@ def _iter_lines(source) -> Iterable[str]:
 def parse_quadruples(source, origin: str = "<stream>") -> list[RawQuadruple]:
     """Parse tab-separated quadruple lines; empty lines are skipped.
 
-    Malformed lines raise :class:`DataError` with their 1-based number.
+    Malformed lines, and bytes that are not UTF-8, raise :class:`DataError`
+    with their 1-based line number.
     """
+    try:
+        lines = _iter_lines(source)
+    except UnicodeDecodeError as exc:
+        # the bad byte's line: count the lines of the valid text before it
+        lineno = len((exc.object[:exc.start].decode("utf-8") + "x").splitlines())
+        raise DataError(f"{origin}:{lineno}: not UTF-8 text: {exc}") from None
     out = []
-    for lineno, line in enumerate(_iter_lines(source), start=1):
+    for lineno, line in enumerate(lines, start=1):
         line = line.rstrip("\r\n")
         if not line.strip():
             continue
@@ -88,17 +95,14 @@ class Vocab:
     entities: list[str]
     relations: list[str]
     dates: list[dt.date]
-    ent_index: dict[str, int] = field(repr=False, default_factory=dict)
-    rel_index: dict[str, int] = field(repr=False, default_factory=dict)
-    date_index: dict[dt.date, int] = field(repr=False, default_factory=dict)
+    ent_index: dict[str, int] = field(init=False, repr=False)
+    rel_index: dict[str, int] = field(init=False, repr=False)
+    date_index: dict[dt.date, int] = field(init=False, repr=False)
 
     def __post_init__(self):
-        if not self.ent_index:
-            self.ent_index = {e: i for i, e in enumerate(self.entities)}
-        if not self.rel_index:
-            self.rel_index = {r: i for i, r in enumerate(self.relations)}
-        if not self.date_index:
-            self.date_index = {d: i for i, d in enumerate(self.dates)}
+        self.ent_index = {e: i for i, e in enumerate(self.entities)}
+        self.rel_index = {r: i for i, r in enumerate(self.relations)}
+        self.date_index = {d: i for i, d in enumerate(self.dates)}
 
     @property
     def num_entities(self) -> int:

@@ -292,21 +292,6 @@ class FusedBatch:
     def size(self) -> int:
         return self.g.shape[0]
 
-    @property
-    def a(self) -> np.ndarray:
-        """The subject projection of every batch row (a new array)."""
-        return self.a_unique[self.a_index]
-
-    @property
-    def mask_input(self) -> np.ndarray | None:
-        """The input keep-mask as inverted-dropout factors (a new array)."""
-        return _scaled_mask(self.keep_input, self.dropout_input)
-
-    @property
-    def mask_hidden(self) -> np.ndarray | None:
-        """The hidden keep-mask as inverted-dropout factors (a new array)."""
-        return _scaled_mask(self.keep_hidden, self.dropout_hidden)
-
 
 def _fuse(params: ModelParams, subj, rel, time, rel_static, first: np.ndarray,
           inverse: np.ndarray, *, training: bool = False, dropout_input: float = 0.0,
@@ -610,16 +595,3 @@ def _apply_keep(x: np.ndarray, keep: np.ndarray, rate: float) -> None:
         chunk *= flat_keep[start:start + _CHUNK]
         chunk *= scale
 
-
-def _scaled_mask(keep: np.ndarray | None, rate: float) -> np.ndarray | None:
-    return None if keep is None else keep * (1.0 / (1.0 - rate))
-
-
-def _dropout_mask(shape, rate: float, training: bool,
-                  rng: np.random.Generator | None) -> np.ndarray | None:
-    """Inverted-dropout mask: 0 with probability ``rate``, else 1/(1-rate).
-
-    The float form of :func:`_dropout_keep`'s mask, from the same draw;
-    ``None`` when nothing is dropped.
-    """
-    return _scaled_mask(_dropout_keep(shape, rate, training, rng), rate)

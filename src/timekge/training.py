@@ -36,7 +36,8 @@ from .scoring import (
     Model,
     ModelParams,
     Variant,
-    _dropout_mask,
+    _apply_keep,
+    _dropout_keep,
     init_params,
     param_layout,
 )
@@ -118,12 +119,14 @@ def apply_dropout(x, rate: float, rng: np.random.Generator | None = None,
                   training: bool = True) -> np.ndarray:
     """Inverted dropout: zero with probability ``rate``, scale survivors.
 
-    Identity when ``training`` is false or the rate is zero. The mask is
-    the one :meth:`Model.fuse` samples.
+    Identity when ``training`` is false or the rate is zero. The keep-mask
+    is the one :meth:`Model.fuse` samples, and is applied as it applies it.
     """
-    arr = np.asarray(x, dtype=np.float64)
-    mask = _dropout_mask(arr.shape, rate, training, rng)
-    return arr.copy() if mask is None else arr * mask
+    out = np.array(x, dtype=np.float64, order="C")
+    keep = _dropout_keep(out.shape, rate, training, rng)
+    if keep is not None:
+        _apply_keep(out, keep, rate)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -137,18 +140,14 @@ class AdamState:
     m: dict[str, np.ndarray]
     v: dict[str, np.ndarray]
     step: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
+    beta1: typing.ClassVar[float] = 0.9
+    beta2: typing.ClassVar[float] = 0.999
+    eps: typing.ClassVar[float] = 1e-8
 
     @classmethod
-    def for_params(cls, tensors: dict[str, np.ndarray], beta1: float = 0.9,
-                   beta2: float = 0.999, eps: float = 1e-8) -> "AdamState":
-        return cls(
-            m={k: np.zeros_like(t) for k, t in tensors.items()},
-            v={k: np.zeros_like(t) for k, t in tensors.items()},
-            beta1=beta1, beta2=beta2, eps=eps,
-        )
+    def for_params(cls, tensors: dict[str, np.ndarray]) -> "AdamState":
+        return cls(m={k: np.zeros_like(t) for k, t in tensors.items()},
+                   v={k: np.zeros_like(t) for k, t in tensors.items()})
 
 
 def adam_step(tensors: dict[str, np.ndarray], grads: dict[str, np.ndarray],
@@ -482,7 +481,7 @@ def load_checkpoint(directory, dataset: Dataset) -> tuple[ModelParams, dict]:
     """Restore parameters saved by :func:`save_checkpoint`.
 
     The dataset is required both to verify that the checkpoint was
-    trained on the same vocabularies and timestamp count and to rebuild
+    trained on the same vocabularies and counts and to rebuild
     the cyclic encoder's per-timestamp decomposition cache.
     """
     directory = Path(directory)
@@ -505,16 +504,20 @@ def load_checkpoint(directory, dataset: Dataset) -> tuple[ModelParams, dict]:
         raise CheckpointCorruptError(
             f"manifest field 'time_sampling_rate' must be >= 1, got {rate}")
     dates = resample_dates(dataset.vocab.dates, rate)
-    if manifest.get("num_timestamps") not in (None, len(dates)):
-        raise CheckpointCorruptError(
-            f"manifest field 'num_timestamps' is {manifest['num_timestamps']}, but the "
-            f"dataset has {len(dates)} timestamps at sampling rate {rate}")
+    # the dataset is the one source of the counts; the manifest must agree with it
+    counts = {"num_entities": dataset.vocab.num_entities,
+              "num_relations": dataset.vocab.num_relations, "num_timestamps": len(dates)}
+    for name, count in counts.items():
+        if manifest.get(name) not in (None, count):
+            raise CheckpointCorruptError(
+                f"manifest field {name!r} is {manifest[name]}, but the dataset "
+                f"(at time sampling rate {rate}) gives {count}")
 
     dims = manifest["dims"]
     layout = param_layout(
-        manifest["variant"], manifest["num_entities"], manifest["num_relations"],
+        manifest["variant"], counts["num_entities"], counts["num_relations"],
         manifest["rank"], dims["entity"], dims["relation"], dims["time"],
-        manifest.get("encoder"), manifest.get("num_timestamps"))
+        manifest.get("encoder"), counts["num_timestamps"])
     recorded = {name: tuple(shape) for name, shape in manifest["tensors"].items()}
     if recorded != layout:
         raise CheckpointShapeError(

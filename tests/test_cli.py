@@ -2,9 +2,11 @@
 
 import csv
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
+from timekge import cli, errors
 from timekge.cli import main
 from timekge.datasets import synthetic_dataset_dir
 
@@ -190,19 +192,23 @@ class TestEvaluate:
         err = capsys.readouterr().err
         assert err.startswith("error:") and repr(field) in err and "Traceback" not in err
 
-    @pytest.mark.parametrize("field, value", [("num_timestamps", 3),
-                                              ("time_sampling_rate", 0)])
+    @pytest.mark.parametrize("field, value", [
+        ("num_timestamps", 3), ("time_sampling_rate", 0), ("num_entities", 37),
+        ("num_relations", 5), ("num_relations", 7)])
     def test_time_field_disagreeing_with_dataset_exits_1(self, tmp_path, capsys,
                                                           field, value):
         code, out = run_train(tmp_path)
         ckpt = out / "checkpoint-best"
         manifest = json.loads((ckpt / "manifest.json").read_text())
         manifest[field] = value
-        if field == "num_timestamps":
-            # a time table that matches the manifest, so only the dataset disagrees
-            manifest["tensors"]["time"][0] = value
-            rows = np.fromfile(ckpt / "time.bin", dtype="<f8")
-            rows[:value * manifest["dims"]["time"]].tofile(ckpt / "time.bin")
+        # tables that match the manifest, so only the dataset disagrees
+        resized = {"num_timestamps": {"time": value}, "num_entities": {"entity": value},
+                   "num_relations": {"relation": 2 * value, "relation_static": 2 * value}}
+        for name, rows in resized.get(field, {}).items():
+            shape = manifest["tensors"][name]
+            table = np.fromfile(ckpt / f"{name}.bin", dtype="<f8").reshape(shape)
+            np.resize(table, (rows, shape[1])).tofile(ckpt / f"{name}.bin")
+            shape[0] = rows
         (ckpt / "manifest.json").write_text(json.dumps(manifest))
         capsys.readouterr()
         assert main(["evaluate", "--checkpoint", str(ckpt), "--dataset", SYNTH]) == 1
@@ -244,6 +250,15 @@ class TestStats:
 
     def test_missing_dir_exits_2(self, tmp_path):
         assert main(["stats", "--dataset", str(tmp_path / "void")]) == 2
+
+    def test_file_not_utf8_exits_2(self, tmp_path, capsys):
+        for name in ("train", "valid", "test"):
+            (tmp_path / f"{name}.txt").write_bytes((Path(SYNTH) / f"{name}.txt").read_bytes())
+        with open(tmp_path / "valid.txt", "ab") as fh:  # after its 20 lines
+            fh.write(b"E00\tR0\tE\xff01\t2014-01-02\n")
+        assert main(["stats", "--dataset", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {tmp_path / 'valid.txt'}:21: not UTF-8")
 
 
 class TestEncodeTime:
@@ -308,3 +323,31 @@ class TestHeatmap:
     def test_unwritable_path_exits_2(self, tmp_path, capsys):
         target = tmp_path / "missing-dir" / "hm.csv"
         assert main(["heatmap", "--dataset", SYNTH, "--out", str(target)]) == 2
+
+    def test_zero_time_rate_exits_1(self, tmp_path, capsys):
+        assert main(["heatmap", "--dataset", SYNTH, "--out", str(tmp_path / "hm.csv"),
+                     "--time-rate", "0"]) == 1
+        assert "time sampling rate" in capsys.readouterr().err
+        assert not (tmp_path / "hm.csv").exists()
+
+
+# The exit code of every error class the package defines, and of the two
+# builtins main() maps; a class added to timekge.errors must be added here.
+EXIT_CODES = {
+    "TimekgeError": 1, "ShapeError": 1, "DataError": 2, "OovError": 2,
+    "MissingKeyError": 2, "GradCheckError": 1, "NumericError": 3, "CheckpointError": 1,
+    "CheckpointCorruptError": 1, "CheckpointShapeError": 1, "CheckpointVocabError": 2,
+    "ConfigError": 1, "OSError": 2, "ValueError": 1,
+}
+RAISED = [cls for cls in vars(errors).values()
+          if isinstance(cls, type) and issubclass(cls, Exception)] + [OSError, ValueError]
+
+
+@pytest.mark.parametrize("cls", RAISED, ids=lambda cls: cls.__name__)
+def test_exit_code_of_each_error_class(monkeypatch, capsys, cls):
+    def fail(args):
+        raise cls((0, 0, 0)) if cls is errors.MissingKeyError else cls("boom")
+
+    monkeypatch.setattr(cli, "cmd_stats", fail)
+    assert main(["stats", "--dataset", SYNTH]) == EXIT_CODES[cls.__name__]
+    assert capsys.readouterr().err.startswith("error: ")

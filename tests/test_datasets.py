@@ -1,7 +1,9 @@
 """Parsing, vocabularies, augmentation, resampling and grouping."""
 
 import datetime as dt
+import importlib.util
 import io
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,6 +24,8 @@ from timekge.datasets import (
     synthetic_dataset_dir,
 )
 from timekge.errors import DataError, MissingKeyError, OovError
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def raw(s, p, o, date):
@@ -53,6 +57,13 @@ class TestParse:
     def test_empty_field_rejected(self):
         with pytest.raises(DataError, match="empty field"):
             parse_quadruples("A\t\tB\t2014-01-01")
+
+    @pytest.mark.parametrize("head, line", [
+        (b"", 1), (b"A\tp\tB\t2014-01-01\n", 2), (b"A\tp\tB\t2014-01-01\r\n\n", 3),
+        (b"A\tp\tB\t2014-01-01\r", 2), ("A\tp\t\u00e9\t2014-01-01\n".encode(), 2)])
+    def test_bytes_not_utf8_report_line(self, head, line):
+        with pytest.raises(DataError, match=f"^f.txt:{line}: not UTF-8"):
+            parse_quadruples(io.BytesIO(head + b"C\tq\t\xffD\t2014-01-02\n"), "f.txt")
 
 
 class TestVocab:
@@ -316,6 +327,16 @@ class TestStatsAndLoading:
         assert stats["num_entities"] == 40
         assert stats["num_relations"] == 6
         assert stats["num_timestamps"] == 20
+
+    def test_bundled_dataset_matches_its_generator(self):
+        spec = importlib.util.spec_from_file_location(
+            "make_synthetic_dataset", ROOT / "tools" / "make_synthetic_dataset.py")
+        tool = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tool)
+        files = tool.render(tool.covering_splits()[1])
+        assert sorted(files) == ["test.txt", "train.txt", "valid.txt"]
+        for name, data in files.items():
+            assert (synthetic_dataset_dir() / name).read_bytes() == data, name
 
     def test_missing_directory(self):
         with pytest.raises(DataError):

@@ -13,7 +13,6 @@ from timekge.scoring import (
     Model,
     Variant,
     _dropout_keep,
-    _dropout_mask,
     fuse_cfb,
     fuse_ftp,
     fuse_lowfer,
@@ -23,7 +22,7 @@ from timekge.scoring import (
     pool_rows,
     score_all,
 )
-from timekge.training import bce_loss
+from timekge.training import apply_dropout, bce_loss
 
 TINY = dict(num_entities=5, num_relations=3, dim_entity=4, num_timestamps=4)
 TINY_DATES = [dt.date(2014, 1, d + 1) for d in range(4)]
@@ -55,6 +54,11 @@ def subject_patterns(rng, n):
     if n <= TINY["num_entities"]:
         patterns.append(rng.permutation(TINY["num_entities"])[:n])
     return patterns
+
+
+def scaled_keep(keep, rate):
+    """A bool dropout keep-mask as inverted-dropout factors: 0 or 1/(1-rate)."""
+    return keep * (1.0 / (1.0 - rate))
 
 
 class TestFusionExamples:
@@ -236,15 +240,15 @@ class TestModelForward:
         rng = np.random.default_rng(16)
         s, pr, t = random_batch(rng)
         eval_cache = model.fuse(s, pr, t, dropout_input=0.5, dropout_hidden=0.5)
-        assert eval_cache.mask_input is None and eval_cache.mask_hidden is None
+        assert eval_cache.keep_input is None and eval_cache.keep_hidden is None
         train_cache = model.fuse(s, pr, t, training=True, dropout_input=0.5,
                                  dropout_hidden=0.5, rng=np.random.default_rng(0))
-        assert train_cache.mask_input is not None
-        assert set(np.unique(train_cache.mask_input)) <= {0.0, 2.0}
+        assert train_cache.keep_input is not None and train_cache.keep_hidden is not None
+        assert train_cache.keep_input.dtype == np.bool_
 
 
     def test_dropout_mask_is_the_scaled_uniform_draw(self):
-        mask = _dropout_mask((6, 5), 0.3, True, np.random.default_rng(21))
+        mask = apply_dropout(np.ones((6, 5)), 0.3, np.random.default_rng(21))
         expected = (np.random.default_rng(21).random((6, 5)) >= 0.3) / (1.0 - 0.3)
         assert mask.dtype == np.float64
         assert np.array_equal(mask, expected)
@@ -253,7 +257,7 @@ class TestModelForward:
     @pytest.mark.parametrize("rate", [-0.5, 1.0])
     def test_out_of_range_dropout_rejected(self, rate, training):
         with pytest.raises(ConfigError):
-            _dropout_mask((2, 3), rate, training, np.random.default_rng(0))
+            _dropout_keep((2, 3), rate, training, np.random.default_rng(0))
         model = tiny_model("tnt", seed=15)
         s, pr, t = random_batch(np.random.default_rng(16))
         with pytest.raises(ConfigError):
@@ -304,10 +308,11 @@ class TestRowBlockedForward:
                 # each distinct subject is projected once, with the rows of
                 # the whole-batch product
                 assert cache.a_unique.shape[0] == np.unique(s).size
-                assert np.array_equal(cache.a, cache.subj @ p.subject_proj), (n, s)
+                a = cache.a_unique[cache.a_index]
+                assert np.array_equal(a, cache.subj @ p.subject_proj), (n, s)
                 right = cache.b if cache.w is None else cache.w
-                expected = pool_rows(cache.a * right * cache.mask_input,
-                                     p.rank) * cache.mask_hidden
+                expected = pool_rows(a * right * scaled_keep(cache.keep_input, 0.3),
+                                     p.rank) * scaled_keep(cache.keep_hidden, 0.4)
                 assert np.array_equal(cache.g, expected), (n, s)
 
 
@@ -399,10 +404,11 @@ class TestBackward:
         grads = p.zero_grads()
         dg = dlogits @ p.entity
         grads["entity"] += dlogits.T @ cache.g
-        dg = dg * cache.mask_hidden
-        dh = np.repeat(dg, p.rank, axis=1) * cache.mask_input
+        a = cache.a_unique[cache.a_index]
+        dg = dg * scaled_keep(cache.keep_hidden, cache.dropout_hidden)
+        dh = np.repeat(dg, p.rank, axis=1) * scaled_keep(cache.keep_input, cache.dropout_input)
         if p.variant in (Variant.CFB, Variant.FTP):
-            da, dw = dh * cache.w, dh * cache.a
+            da, dw = dh * cache.w, dh * a
             if p.variant is Variant.CFB:
                 grads["chain_proj"] += cache.inner.T @ dw
                 dinner = dw @ p.chain_proj.T
@@ -412,7 +418,7 @@ class TestBackward:
             grads["time_proj"] += cache.time.T @ dc
             dtime = dc @ p.time_proj.T
         else:
-            da, db, dtime = dh * cache.b, dh * cache.a, None
+            da, db, dtime = dh * cache.b, dh * a, None
         grads["relation_proj"] += cache.rel_in.T @ db
         drel = drel_in = db @ p.relation_proj.T
         if p.variant in (Variant.T, Variant.TNT):
@@ -436,7 +442,8 @@ class TestBackward:
             logits, cache = model.forward(s, pr, t, training=True, dropout_input=0.3,
                                           dropout_hidden=0.4, rng=rng)
             dlogits = rng.standard_normal(logits.shape)
-            kept = {name: getattr(cache, name) for name in ("a", "b", "g", "mask_input")}
+            kept = {name: getattr(cache, name)
+                    for name in ("a_unique", "a_index", "b", "g", "keep_input", "keep_hidden")}
             kept = {name: value.copy() for name, value in kept.items()}
             grads = model.backward(cache, dlogits)
             expected = self.reference_backward(model, cache, dlogits)

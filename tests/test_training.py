@@ -187,6 +187,16 @@ class TestDropout:
         x = np.linspace(-1.0, 1.0, 12).reshape(3, 4)
         mask = (np.random.default_rng(8).random(x.shape) >= 0.3) / (1.0 - 0.3)
         assert np.array_equal(apply_dropout(x, 0.3, np.random.default_rng(8)), x * mask)
+        # negative, infinite and nan inputs, dropped and kept: the same values,
+        # nans and zero signs as one multiply by the float mask
+        x = np.tile([-2.5, -0.0, 0.0, np.inf, -np.inf, np.nan, -np.nan, 3.0], (12, 1))
+        mask = (np.random.default_rng(9).random(x.shape) >= 0.5) / (1.0 - 0.5)
+        assert (mask == 0).any(axis=0).all() and mask.any(axis=0).all()
+        with np.errstate(invalid="ignore"):
+            expected = x * mask
+            out = apply_dropout(x, 0.5, np.random.default_rng(9))
+        assert np.array_equal(out, expected, equal_nan=True)
+        assert np.array_equal(np.signbit(out), np.signbit(expected))
 
 
 class TestAdam:

@@ -10,7 +10,8 @@ pattern, not memorize timestamps. The split is a seeded shuffle, sized
 160/20/20.
 
 The output is committed under ``src/timekge/assets/synthetic``; rerun
-only when the generation scheme changes.
+only when the generation scheme changes. A test renders the files in
+memory with :func:`render` and compares them with the committed ones.
 """
 
 import datetime as dt
@@ -60,22 +61,33 @@ def generate(seed: int):
     return splits if covered else None
 
 
-def main() -> None:
-    splits = None
+def covering_splits() -> tuple[int, dict]:
+    """The first seed from ``SEED`` on whose draw satisfies the coverage
+    constraints, and that draw."""
     for attempt in range(1000):
         splits = generate(SEED + attempt)
         if splits is not None:
-            print(f"seed {SEED + attempt} satisfies the coverage constraints")
-            break
-    assert splits is not None, "no covering draw found"
+            return SEED + attempt, splits
+    raise AssertionError("no covering draw found")
 
+
+def render(splits: dict) -> dict[str, bytes]:
+    """The bytes of each split file, keyed by file name."""
+    files = {}
+    for name, rows in splits.items():
+        lines = (f"E{s:02d}\tR{p}\tE{o:02d}\t{FIRST_DAY + dt.timedelta(days=t):%Y-%m-%d}\n"
+                 for s, p, o, t in rows)
+        files[f"{name}.txt"] = "".join(lines).encode("utf-8")
+    return files
+
+
+def main() -> None:
+    seed, splits = covering_splits()
+    print(f"seed {seed} satisfies the coverage constraints")
     out_dir = Path(__file__).resolve().parents[1] / "src" / "timekge" / "assets" / "synthetic"
     out_dir.mkdir(parents=True, exist_ok=True)
-    for name, rows in splits.items():
-        with open(out_dir / f"{name}.txt", "w", encoding="utf-8") as fh:
-            for s, p, o, t in rows:
-                date = FIRST_DAY + dt.timedelta(days=t)
-                fh.write(f"E{s:02d}\tR{p}\tE{o:02d}\t{date.isoformat()}\n")
+    for name, data in render(splits).items():
+        (out_dir / name).write_bytes(data)
     print(f"wrote {sum(len(r) for r in splits.values())} quadruples to {out_dir}")
 
 
