@@ -17,6 +17,7 @@ The package factors into:
 
 from .datasets import (
     Dataset,
+    QuadrupleColumns,
     RawQuadruple,
     TargetIndex,
     Vocab,
@@ -70,8 +71,9 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AdamState", "COMPONENTS", "CycleIndices", "CyclicTimeEncoder", "Dataset",
-    "GradCheckReport", "Model", "ModelParams", "RankingMetrics", "RawQuadruple",
-    "SimpleTimeEncoder", "TargetIndex", "TrainConfig", "Trainer", "Variant", "Vocab",
+    "GradCheckReport", "Model", "ModelParams", "QuadrupleColumns", "RankingMetrics",
+    "RawQuadruple", "SimpleTimeEncoder", "TargetIndex", "TrainConfig", "Trainer",
+    "Variant", "Vocab",
     "adam_step", "apply_dropout", "augment_reciprocal", "bce_loss",
     "build_filter", "build_vocab", "cycle_cardinalities", "dataset_stats",
     "decay_lr", "decompose_date", "evaluate", "finite_diff_check", "fuse_cfb",
