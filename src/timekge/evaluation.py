@@ -77,24 +77,22 @@ class DirectionMetrics:
 
 
 @dataclass
-class RankingMetrics:
+class RankingMetrics(DirectionMetrics):
     """Combined metrics plus per-direction sub-records."""
 
-    mrr: float
-    hits1: float
-    hits3: float
-    hits10: float
-    num_queries: int
     tail: DirectionMetrics
     head: DirectionMetrics
 
+    @classmethod
+    def from_ranks(cls, ranks: np.ndarray, is_head: np.ndarray) -> "RankingMetrics":
+        """Metrics of ``ranks``; ``is_head`` marks the reciprocal queries."""
+        return cls(**vars(DirectionMetrics.from_ranks(ranks)),
+                   tail=DirectionMetrics.from_ranks(ranks[~is_head]),
+                   head=DirectionMetrics.from_ranks(ranks[is_head]))
+
     def to_dict(self) -> dict:
-        return {
-            "mrr": self.mrr, "hits1": self.hits1, "hits3": self.hits3,
-            "hits10": self.hits10, "num_queries": self.num_queries,
-            "per_direction": {"tail": self.tail.to_dict(),
-                              "head": self.head.to_dict()},
-        }
+        return {**super().to_dict(),
+                "per_direction": {"tail": self.tail.to_dict(), "head": self.head.to_dict()}}
 
 
 def evaluate(model, quads: np.ndarray, flt: TargetIndex | None,
@@ -120,15 +118,7 @@ def evaluate(model, quads: np.ndarray, flt: TargetIndex | None,
     for start in range(0, quads.shape[0], batch_size):
         rows = order[start:start + batch_size]
         ranks[rows] = _chunk_ranks(model, quads, rows, flt, mode)
-    is_head = quads[:, 1] >= num_relations
-    tail = DirectionMetrics.from_ranks(ranks[~is_head])
-    head = DirectionMetrics.from_ranks(ranks[is_head])
-    combined = DirectionMetrics.from_ranks(ranks)
-    return RankingMetrics(
-        mrr=combined.mrr, hits1=combined.hits1, hits3=combined.hits3,
-        hits10=combined.hits10, num_queries=combined.num_queries,
-        tail=tail, head=head,
-    )
+    return RankingMetrics.from_ranks(ranks, quads[:, 1] >= num_relations)
 
 
 def _chunk_ranks(model, quads: np.ndarray, rows: np.ndarray, flt: TargetIndex | None,

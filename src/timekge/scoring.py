@@ -17,10 +17,10 @@ dotted against every candidate object embedding (1-N scoring):
   projection fixed to identity)
 
 ``Us`` is shorthand for ``subject_proj^T e_s`` and likewise for the
-other projections. One core, :func:`_fuse`, states these rules: both
-:meth:`Model.fuse` and the free ``fuse_*`` functions run it.
-:meth:`Model.fuse` projects each distinct subject of a batch once, and
-the rows that share a subject share its projected row. Gradients are
+other projections. :meth:`Model.fuse` states these rules once; the free
+``fuse_*`` functions run it on the rows they are given. It projects each
+distinct subject of a batch once, and the rows that share a subject share
+its projected row. Gradients are
 hand-derived; every parameter path is exercised by finite-difference
 checks in the test suite.
 """
@@ -262,79 +262,8 @@ def init_params(
 
 
 # ---------------------------------------------------------------------------
-# fusion: one core for the model and the free functions
+# fusion helpers and the free fusion functions
 # ---------------------------------------------------------------------------
-
-@dataclass
-class FusedBatch:
-    """Forward intermediates for one batch, kept for the backward pass."""
-
-    subj: np.ndarray            # entity rows of the subjects
-    rel: np.ndarray             # relation rows (temporal table)
-    rel_in: np.ndarray          # vector actually fed into relation_proj
-    time: np.ndarray | None     # encoded time embeddings
-    a_unique: np.ndarray        # subject projection of each distinct subject
-    a_index: np.ndarray         # batch row -> its subject's row of a_unique
-    b: np.ndarray               # relation projection
-    c: np.ndarray | None        # time projection (cfb/ftp)
-    inner: np.ndarray | None    # b . c before the chain projection
-    w: np.ndarray | None        # chain output (cfb) or inner (ftp)
-    keep_input: np.ndarray | None   # bool dropout keep-masks, drawn in training only
-    keep_hidden: np.ndarray | None
-    g: np.ndarray               # fused query vectors, dropout applied
-    s_idx: np.ndarray | None = None  # batch indices, set by Model.fuse
-    p_idx: np.ndarray | None = None
-    t_idx: np.ndarray | None = None
-    dropout_input: float = 0.0
-    dropout_hidden: float = 0.0
-
-    @property
-    def size(self) -> int:
-        return self.g.shape[0]
-
-
-def _fuse(params: ModelParams, subj, rel, time, rel_static, first: np.ndarray,
-          inverse: np.ndarray, *, training: bool = False, dropout_input: float = 0.0,
-          dropout_hidden: float = 0.0, rng: np.random.Generator | None = None) -> FusedBatch:
-    """The variant rules on 2-D rows; only the projections of ``params`` are read.
-
-    ``subj[first]`` holds each distinct subject once and ``inverse`` maps
-    every row to its distinct subject, so the subject projection is formed
-    once per distinct subject. Dropout is only sampled when ``training``
-    is true: the combined product before pooling gets the input rate, the
-    pooled vector the hidden rate, both inverted (survivors scaled by
-    1/(1-rate)).
-    """
-    variant = params.variant
-    if variant is Variant.T:
-        rel_in = rel * time
-    elif variant is Variant.TNT:
-        rel_in = rel * time + rel_static
-        # Model.fuse keeps no reference to these rows: free them before the wide products
-        del rel_static
-    else:  # lowfer; cfb / ftp fuse relation and time after projection
-        rel_in = rel
-
-    a_unique = _project_distinct(subj, first, params.subject_proj)
-    b = rel_in @ params.relation_proj
-    c = inner = w = None
-    if variant in (Variant.CFB, Variant.FTP):
-        c = time @ params.time_proj
-        inner = b * c
-        w = inner @ params.chain_proj if variant is Variant.CFB else inner
-
-    keep_input = _dropout_keep(b.shape, dropout_input, training, rng)
-    g = _product_pool(a_unique, inverse, b if w is None else w, keep_input, dropout_input,
-                      params.rank)
-    keep_hidden = _dropout_keep(g.shape, dropout_hidden, training, rng)
-    if keep_hidden is not None:
-        _apply_keep(g, keep_hidden, dropout_hidden)
-
-    return FusedBatch(subj=subj, rel=rel, rel_in=rel_in, time=time, a_unique=a_unique,
-                      a_index=inverse, b=b, c=c, inner=inner, w=w, keep_input=keep_input,
-                      keep_hidden=keep_hidden, g=g, dropout_input=dropout_input,
-                      dropout_hidden=dropout_hidden)
-
 
 def _project_distinct(subj: np.ndarray, first: np.ndarray, proj: np.ndarray) -> np.ndarray:
     """``subj[first] @ proj``, each row rounded as in ``subj @ proj``.
@@ -391,12 +320,22 @@ def _multiply_rows(x: np.ndarray, table: np.ndarray, index: np.ndarray) -> np.nd
 
 def _fuse_vectors(variant: Variant, rank: int, subj, rel, time=None, rel_static=None,
                   **projections) -> np.ndarray:
-    """:func:`_fuse` on vectors or batches; 1-D subjects give 1-D results."""
+    """:meth:`Model.fuse` with the given rows as its tables, one query per row.
+
+    1-D subjects give 1-D results; every argument needs the subject's row count.
+    """
     s, single = _rows(subj)
-    rows = [None if x is None else _rows(x)[0] for x in (rel, time, rel_static)]
-    weights = ModelParams(variant, rank, entity=None, relation=None, **projections)
-    identity = np.arange(s.shape[0])
-    g = _fuse(weights, s, *rows, identity, identity).g
+    named = (("relation", rel), ("time", time), ("relation_static", rel_static))
+    rows = {name: _rows(x)[0] for name, x in named if x is not None}
+    for name, x in rows.items():
+        if x.shape[0] != s.shape[0]:
+            raise ShapeError(f"row counts differ: {s.shape[0]} subject, {x.shape[0]} {name}")
+    if variant in (Variant.T, Variant.TNT) and len({x.shape for x in rows.values()}) > 1:
+        raise ShapeError(f"modulation needs equal shapes, got {[x.shape for x in rows.values()]}")
+    encoder = SimpleTimeEncoder(rows.pop("time")) if "time" in rows else None
+    params = ModelParams(variant, rank, entity=s, encoder=encoder, **rows, **projections)
+    index = np.arange(s.shape[0])
+    g = Model(params).fuse(index, index, None if encoder is None else index).g
     return g[0] if single else g
 
 
@@ -406,10 +345,7 @@ def fuse_lowfer(subj, rel, subject_proj, relation_proj, rank: int) -> np.ndarray
 
 
 def fuse_t(subj, rel, time, subject_proj, relation_proj, rank: int) -> np.ndarray:
-    r, tv = _rows(rel)[0], _rows(time)[0]
-    if r.shape != tv.shape:
-        raise ShapeError(f"relation shape {r.shape} != time shape {tv.shape}")
-    return _fuse_vectors(Variant.T, rank, subj, r, tv, subject_proj=subject_proj,
+    return _fuse_vectors(Variant.T, rank, subj, rel, time, subject_proj=subject_proj,
                          relation_proj=relation_proj)
 
 
@@ -447,41 +383,89 @@ def score_all(fused, entity_table) -> np.ndarray:
 # batched forward/backward with caching
 # ---------------------------------------------------------------------------
 
+@dataclass
+class FusedBatch:
+    """Forward intermediates for one batch, kept for the backward pass."""
+
+    s_idx: np.ndarray           # batch indices
+    p_idx: np.ndarray
+    t_idx: np.ndarray | None
+    subj: np.ndarray            # entity rows of the subjects
+    rel: np.ndarray             # relation rows (temporal table)
+    rel_in: np.ndarray          # vector actually fed into relation_proj
+    time: np.ndarray | None     # encoded time embeddings
+    a_unique: np.ndarray        # subject projection of each distinct subject
+    a_index: np.ndarray         # batch row -> its subject's row of a_unique
+    b: np.ndarray               # relation projection
+    c: np.ndarray | None        # time projection (cfb/ftp)
+    inner: np.ndarray | None    # b . c before the chain projection
+    w: np.ndarray | None        # chain output (cfb) or inner (ftp)
+    keep_input: np.ndarray | None   # bool dropout keep-masks, drawn in training only
+    keep_hidden: np.ndarray | None
+    dropout_input: float
+    dropout_hidden: float
+    g: np.ndarray               # fused query vectors, dropout applied
+
+    @property
+    def size(self) -> int:
+        return self.g.shape[0]
+
+
 class Model:
     """Bundles parameters with the batched forward/backward passes."""
 
     def __init__(self, params: ModelParams):
         self.params = params
 
-    @property
-    def variant(self) -> Variant:
-        return self.params.variant
-
     def fuse(self, s_idx, p_idx, t_idx=None, *, training: bool = False,
              dropout_input: float = 0.0, dropout_hidden: float = 0.0,
              rng: np.random.Generator | None = None) -> FusedBatch:
-        """Fused query vectors for a batch of (s, p, t) keys.
+        """Fused query vectors for a batch of (s, p, t) keys, by the module's variant rules.
 
-        Gathers the batch's rows and runs the variant rules and dropout of
-        :func:`_fuse`, the core the free ``fuse_*`` functions share, with
-        the subject projection formed once per distinct subject.
+        The subject projection is formed once per distinct subject. Dropout is
+        sampled only when ``training`` is true: the product before pooling gets
+        the input rate, the pooled vector the hidden rate, both inverted
+        (survivors scaled by 1/(1-rate)).
         """
         p = self.params
+        variant = p.variant
         s_idx = np.asarray(s_idx, dtype=np.int64)
         p_idx = np.asarray(p_idx, dtype=np.int64)
         time = None
-        if p.variant.uses_time:
+        if variant.uses_time:
             if t_idx is None:
-                raise ShapeError(f"variant {p.variant.value} needs timestamp indices")
+                raise ShapeError(f"variant {variant.value} needs timestamp indices")
             t_idx = np.asarray(t_idx, dtype=np.int64)
             time = p.encoder.encode_batch(t_idx)
         _, first, inverse = np.unique(s_idx, return_index=True, return_inverse=True)
-        batch = _fuse(p, p.entity[s_idx], p.relation[p_idx], time,
-                      p.relation_static[p_idx] if p.variant is Variant.TNT else None,
-                      first, inverse, training=training, dropout_input=dropout_input,
-                      dropout_hidden=dropout_hidden, rng=rng)
-        batch.s_idx, batch.p_idx, batch.t_idx = s_idx, p_idx, t_idx
-        return batch
+        subj, rel = p.entity[s_idx], p.relation[p_idx]
+        rel_static = p.relation_static[p_idx] if variant is Variant.TNT else None
+        if variant is Variant.T:
+            rel_in = rel * time
+        elif variant is Variant.TNT:
+            rel_in = rel * time + rel_static
+        else:  # lowfer; cfb / ftp fuse relation and time after projection
+            rel_in = rel
+        del rel_static  # the cache keeps no static rows: free them before the wide products
+
+        a_unique = _project_distinct(subj, first, p.subject_proj)
+        b = rel_in @ p.relation_proj
+        c = inner = w = None
+        if variant in (Variant.CFB, Variant.FTP):
+            c = time @ p.time_proj
+            inner = b * c
+            w = inner @ p.chain_proj if variant is Variant.CFB else inner
+
+        keep_input = _dropout_keep(b.shape, dropout_input, training, rng)
+        g = _product_pool(a_unique, inverse, b if w is None else w, keep_input, dropout_input,
+                          p.rank)
+        keep_hidden = _dropout_keep(g.shape, dropout_hidden, training, rng)
+        if keep_hidden is not None:
+            _apply_keep(g, keep_hidden, dropout_hidden)
+        return FusedBatch(s_idx=s_idx, p_idx=p_idx, t_idx=t_idx, subj=subj, rel=rel, rel_in=rel_in,
+                          time=time, a_unique=a_unique, a_index=inverse, b=b, c=c, inner=inner,
+                          w=w, keep_input=keep_input, keep_hidden=keep_hidden, g=g,
+                          dropout_input=dropout_input, dropout_hidden=dropout_hidden)
 
     def forward(self, s_idx, p_idx, t_idx=None, **kwargs) -> tuple[np.ndarray, FusedBatch]:
         """Fused vectors scored against all entities: (logits, cache)."""
@@ -519,25 +503,24 @@ class Model:
         if cache.keep_input is not None:
             _apply_keep(dh, cache.keep_input, cache.dropout_input)
 
+        # g pools a[a_index] * y, where y is w for cfb/ftp and b otherwise; for
+        # cfb/ftp, dy becomes d(inner), inner = b * c
+        da = dh * (cache.b if cache.w is None else cache.w)
+        dy = _multiply_rows(dh, cache.a_unique, cache.a_index)
+        del dh
+        dtime = None
         if p.variant in (Variant.CFB, Variant.FTP):
-            da = dh * cache.w
-            dw = _multiply_rows(dh, cache.a_unique, cache.a_index)
             if p.variant is Variant.CFB:
-                grads["chain_proj"] = cache.inner.T @ dw
-                dinner = dw @ p.chain_proj.T
-            else:
-                dinner = dw
-            del dh, dw
-            db = dinner * cache.c
-            dc = np.multiply(dinner, cache.b, out=dinner)
+                grads["chain_proj"] = cache.inner.T @ dy
+                dy = dy @ p.chain_proj.T
+            db = dy * cache.c
+            dc = np.multiply(dy, cache.b, out=dy)
             grads["time_proj"] = cache.time.T @ dc
             dtime = dc @ p.time_proj.T
-            del dinner, dc
+            del dc
         else:
-            da = dh * cache.b
-            db = _multiply_rows(dh, cache.a_unique, cache.a_index)
-            del dh
-            dtime = None
+            db = dy
+        del dy
 
         grads["relation_proj"] = cache.rel_in.T @ db
         drel_in = db @ p.relation_proj.T

@@ -384,8 +384,11 @@ def save_checkpoint(directory, params: ModelParams, *, vocab_hashes: dict,
 
     The files are written into a sibling ``<name>.tmp/`` that replaces
     ``directory`` only once every file is complete, so a failure while
-    overwriting a checkpoint leaves the previous one in place. An existing
-    ``directory`` must be empty or hold a checkpoint manifest.
+    overwriting a checkpoint leaves the previous one in place. Every file
+    and the staging directory reach the disk before the swap, and the
+    parent directory after it, so a crash of the OS cannot leave a swapped-in
+    checkpoint with short files. An existing ``directory`` must be empty or
+    hold a checkpoint manifest.
     """
     directory = Path(directory).absolute()
     empty_dir = directory.is_dir() and not any(directory.iterdir())
@@ -422,9 +425,12 @@ def save_checkpoint(directory, params: ModelParams, *, vocab_hashes: dict,
         with open(staging / "manifest.json", "w", encoding="utf-8") as fh:
             json.dump(manifest, fh, indent=2, sort_keys=True)
             fh.write("\n")
+            _sync_file(fh)
         for name, tensor in tensors.items():
             with open(staging / f"{name}.bin", "wb") as fh:
                 fh.write(np.ascontiguousarray(tensor, dtype="<f8").tobytes())
+                _sync_file(fh)
+        _sync_dir(staging)
     except BaseException:
         shutil.rmtree(staging, ignore_errors=True)
         raise
@@ -435,7 +441,22 @@ def save_checkpoint(directory, params: ModelParams, *, vocab_hashes: dict,
     if directory.exists():
         os.replace(directory, retired)
     os.replace(staging, directory)
+    _sync_dir(directory.parent)
     shutil.rmtree(retired, ignore_errors=True)
+
+
+def _sync_file(fh) -> None:
+    fh.flush()
+    os.fsync(fh.fileno())
+
+
+def _sync_dir(path: Path) -> None:
+    """Flush a directory's entries, so the names it holds survive a crash."""
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
 
 
 _JSON_TYPES = {dict: "object", list: "array", str: "string", int: "integer",

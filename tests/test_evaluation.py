@@ -13,6 +13,7 @@ from timekge.datasets import Dataset, Vocab, augment_reciprocal, synthetic_datas
 from timekge.errors import DataError, NumericError
 from timekge.evaluation import (
     DirectionMetrics,
+    RankingMetrics,
     build_filter,
     evaluate,
     export_time_concentration,
@@ -238,6 +239,14 @@ class TestEvaluate:
         with pytest.raises(DataError, match=r"no filter entry for key \(2, 0, 0\); "
                                             "the filter must be built from all splits"):
             evaluate(model, quads, flt, mode="filtered")
+
+    def test_ranking_metrics_from_ranks_splits_by_direction(self):
+        ranks = np.array([1.0, 4.0, 2.5, 12.0])
+        is_head = np.array([False, True, False, True])
+        got = RankingMetrics.from_ranks(ranks, is_head)
+        assert got.to_dict() == {**DirectionMetrics.from_ranks(ranks).to_dict(), "per_direction": {
+            "tail": DirectionMetrics.from_ranks(ranks[[0, 2]]).to_dict(),
+            "head": DirectionMetrics.from_ranks(ranks[[1, 3]]).to_dict()}}
 
     def test_hits_ordering_invariant(self):
         facts = synthetic_kg(num_facts=200, seed=15)

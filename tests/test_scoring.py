@@ -161,6 +161,39 @@ class TestSubsumption:
         np.testing.assert_allclose(left, right, rtol=1e-15)
 
 
+def free_fusion(name, rows, rng):
+    """Call ``fuse_<name>`` on its row arguments ``rows`` and random projections."""
+    d = rows[0].shape[-1]
+    rank = 1 if name == "ftp" else 2
+    sp, rp, tp = rng.standard_normal((3, d, rank * d))
+    if name == "cfb":
+        return fuse_cfb(*rows, sp, rp, tp, rng.standard_normal((rank * d, rank * d)), rank)
+    if name == "ftp":
+        return fuse_ftp(*rows, sp, rp, tp)
+    return {"lowfer": fuse_lowfer, "t": fuse_t, "tnt": fuse_tnt}[name](*rows, sp, rp, rank)
+
+
+# the row arguments of each free fusion function, in call order
+FREE_ROW_ARGS = {"lowfer": 2, "t": 3, "tnt": 4, "cfb": 3, "ftp": 3}
+
+
+class TestFreeFusionShapes:
+    @pytest.mark.parametrize("name", list(FREE_ROW_ARGS))
+    def test_disagreeing_row_counts_are_refused(self, name):
+        rng = np.random.default_rng(10)
+        for arg in range(FREE_ROW_ARGS[name]):
+            for count in (1, 3):  # every other argument has 2 rows
+                rows = [rng.standard_normal((count if i == arg else 2, 4))
+                        for i in range(FREE_ROW_ARGS[name])]
+                subject, other = (count, 2) if arg == 0 else (2, count)
+                with pytest.raises(ShapeError, match=f"{subject} subject, {other} "):
+                    free_fusion(name, rows, rng)
+        # vectors still give a vector, and one-row batches a one-row batch
+        vectors = list(rng.standard_normal((FREE_ROW_ARGS[name], 4)))
+        assert free_fusion(name, vectors, rng).shape == (4,)
+        assert free_fusion(name, [v[None, :] for v in vectors], rng).shape == (1, 4)
+
+
 class TestScoreAll:
     def test_zero_query_gives_zero_logits(self):
         table = np.random.default_rng(0).standard_normal((6, 3))

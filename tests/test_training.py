@@ -3,6 +3,7 @@
 import datetime as dt
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -488,6 +489,42 @@ class TestCheckpoints:
         assert manifest["epoch"] == 2
         assert params.entity.tobytes() == trainer.model.params.entity.tobytes()
         assert sorted(p.name for p in tmp_path.iterdir()) == ["checkpoint-best", "ckpt"]
+
+    def test_save_is_synced_before_and_after_the_swap(self, tmp_path, monkeypatch):
+        _, trainer, _ = self.make_trained(tmp_path)
+        path = tmp_path / "checkpoint-best"
+        self.save(path, trainer, epoch=0)  # the next save also retires a checkpoint
+        events = []  # ("fsync", (device, inode)) or ("replace", None), in call order
+        real_fsync, real_replace = training.os.fsync, training.os.replace
+
+        def recording_fsync(fd):
+            st = os.fstat(fd)
+            events.append(("fsync", (st.st_dev, st.st_ino)))
+            real_fsync(fd)
+
+        def recording_replace(src, dst):
+            events.append(("replace", None))
+            real_replace(src, dst)
+
+        monkeypatch.setattr(training.os, "fsync", recording_fsync)
+        monkeypatch.setattr(training.os, "replace", recording_replace)
+        self.save(path, trainer, epoch=1)
+        monkeypatch.undo()
+
+        def node(p):
+            st = os.stat(p)
+            return st.st_dev, st.st_ino
+
+        replaces = [i for i, (kind, _) in enumerate(events) if kind == "replace"]
+        assert len(replaces) == 2
+        synced_before = {n for kind, n in events[:replaces[0]] if kind == "fsync"}
+        synced_after = {n for kind, n in events[replaces[-1]:] if kind == "fsync"}
+        # the swap renames the staging directory and its files, keeping their inodes
+        staged = [node(f) for f in path.iterdir()]
+        assert len(staged) == len(trainer.model.params.tensors()) + 1
+        assert set(staged) <= synced_before
+        assert node(path) in synced_before
+        assert node(tmp_path) in synced_after
 
     def test_leftover_staging_directory_is_replaced(self, tmp_path):
         ds, trainer, _ = self.make_trained(tmp_path)
