@@ -2,14 +2,15 @@
 
 The package factors into:
 
-* :mod:`timekge.kernels` / :mod:`timekge.gradcheck` -- reference dense
-  kernels and finite-difference gradient checking;
+* :mod:`timekge.gradcheck` -- finite-difference gradient checking;
 * :mod:`timekge.datasets` -- quadruple parsing, vocabularies, reciprocal
   augmentation, time resampling, the sorted ``(s, p, t)`` target index;
 * :mod:`timekge.time_encoding` -- per-timestamp and cycle-decomposition
   time encoders;
-* :mod:`timekge.scoring` -- the five fusion variants with hand-derived
-  gradients;
+* :mod:`timekge.scoring` -- the five fusion variants, stated once in
+  :meth:`Model.fuse`, with hand-derived gradients;
+* :mod:`timekge.kernels` -- the block size and row gather the batched
+  passes share;
 * :mod:`timekge.training` -- 1-N loop, Adam, checkpoints;
 * :mod:`timekge.evaluation` -- filtered ranking metrics and count exports;
 * :mod:`timekge.cli` -- the ``timekge`` command.
@@ -32,19 +33,7 @@ from .datasets import (
 )
 from .evaluation import RankingMetrics, build_filter, evaluate, rank_of
 from .gradcheck import GradCheckReport, finite_diff_check
-from .kernels import hadamard, matvec_t, sum_pool
-from .scoring import (
-    Model,
-    ModelParams,
-    Variant,
-    fuse_cfb,
-    fuse_ftp,
-    fuse_lowfer,
-    fuse_t,
-    fuse_tnt,
-    init_params,
-    score_all,
-)
+from .scoring import Model, ModelParams, Variant, init_params, score_all
 from .time_encoding import (
     COMPONENTS,
     CycleIndices,
@@ -58,12 +47,10 @@ from .training import (
     TrainConfig,
     Trainer,
     adam_step,
-    apply_dropout,
     bce_loss,
     decay_lr,
     load_checkpoint,
     save_checkpoint,
-    smooth_targets,
     train_epoch,
 )
 
@@ -74,11 +61,9 @@ __all__ = [
     "GradCheckReport", "Model", "ModelParams", "QuadrupleColumns", "RankingMetrics",
     "RawQuadruple", "SimpleTimeEncoder", "TargetIndex", "TrainConfig", "Trainer",
     "Variant", "Vocab",
-    "adam_step", "apply_dropout", "augment_reciprocal", "bce_loss",
-    "build_filter", "build_vocab", "cycle_cardinalities", "dataset_stats",
-    "decay_lr", "decompose_date", "evaluate", "finite_diff_check", "fuse_cfb",
-    "fuse_ftp", "fuse_lowfer", "fuse_t", "fuse_tnt", "group_targets", "hadamard",
-    "index_quadruples", "init_params", "load_checkpoint", "matvec_t", "parse_quadruples",
-    "rank_of", "resample_time", "save_checkpoint", "score_all", "smooth_targets",
-    "sum_pool", "synthetic_dataset_dir", "train_epoch",
+    "adam_step", "augment_reciprocal", "bce_loss", "build_filter", "build_vocab",
+    "cycle_cardinalities", "dataset_stats", "decay_lr", "decompose_date", "evaluate",
+    "finite_diff_check", "group_targets", "index_quadruples", "init_params",
+    "load_checkpoint", "parse_quadruples", "rank_of", "resample_time", "save_checkpoint",
+    "score_all", "synthetic_dataset_dir", "train_epoch",
 ]

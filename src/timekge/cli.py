@@ -124,6 +124,8 @@ def cmd_train(args) -> int:
     config_dict = dataclasses.asdict(config.train_config())
     best_mrr = -1.0
     history_path = out / "history.jsonl"
+    # what this run saved: checkpoints an earlier run left in ``out`` do not count
+    saved = []
 
     def checkpoint(name: str, epoch: int) -> None:
         save_checkpoint(
@@ -131,6 +133,7 @@ def cmd_train(args) -> int:
             epoch=epoch, seed=config.seed,
             time_sampling_rate=config.time_sampling_rate,
             num_timestamps=trainer.num_timestamps, config=config_dict)
+        saved.append(name)
 
     with open(history_path, "w", encoding="utf-8") as history:
         def on_epoch(record):
@@ -148,7 +151,7 @@ def cmd_train(args) -> int:
         trainer.run(eval_interval=config.eval_interval, on_epoch=on_epoch)
 
     last_epoch = config.epochs - 1
-    if config.checkpoint_policy == "last" or not any(out.glob("checkpoint-*")):
+    if config.checkpoint_policy == "last" or not saved:
         checkpoint("checkpoint-last", last_epoch)
 
     metrics = trainer.evaluate_split("test", mode="filtered")

@@ -17,12 +17,10 @@ dotted against every candidate object embedding (1-N scoring):
   projection fixed to identity)
 
 ``Us`` is shorthand for ``subject_proj^T e_s`` and likewise for the
-other projections. :meth:`Model.fuse` states these rules once; the free
-``fuse_*`` functions run it on the rows they are given. It projects each
-distinct subject of a batch once, and the rows that share a subject share
-its projected row. Gradients are
-hand-derived; every parameter path is exercised by finite-difference
-checks in the test suite.
+other projections. :meth:`Model.fuse` states these rules once. It
+projects each distinct subject of a batch once, and the rows that share a
+subject share its projected row. Gradients are hand-derived; every
+parameter path is exercised by finite-difference checks in the test suite.
 """
 
 import enum
@@ -154,9 +152,6 @@ class ModelParams:
             out.update(self.encoder.tensors())
         return out
 
-    def zero_grads(self) -> dict[str, np.ndarray]:
-        return {name: np.zeros_like(t) for name, t in self.tensors().items()}
-
     def count_parameters(self) -> int:
         return sum(t.size for t in self.tensors().values())
 
@@ -262,7 +257,7 @@ def init_params(
 
 
 # ---------------------------------------------------------------------------
-# fusion helpers and the free fusion functions
+# fusion helpers and 1-N scoring
 # ---------------------------------------------------------------------------
 
 def _project_distinct(subj: np.ndarray, first: np.ndarray, proj: np.ndarray) -> np.ndarray:
@@ -316,55 +311,6 @@ def _multiply_rows(x: np.ndarray, table: np.ndarray, index: np.ndarray) -> np.nd
     for start in range(0, n, rows):
         x[start:start + rows] *= take_rows(table, index[start:start + rows], scratch)
     return x
-
-
-def _fuse_vectors(variant: Variant, rank: int, subj, rel, time=None, rel_static=None,
-                  **projections) -> np.ndarray:
-    """:meth:`Model.fuse` with the given rows as its tables, one query per row.
-
-    1-D subjects give 1-D results; every argument needs the subject's row count.
-    """
-    s, single = _rows(subj)
-    named = (("relation", rel), ("time", time), ("relation_static", rel_static))
-    rows = {name: _rows(x)[0] for name, x in named if x is not None}
-    for name, x in rows.items():
-        if x.shape[0] != s.shape[0]:
-            raise ShapeError(f"row counts differ: {s.shape[0]} subject, {x.shape[0]} {name}")
-    if variant in (Variant.T, Variant.TNT) and len({x.shape for x in rows.values()}) > 1:
-        raise ShapeError(f"modulation needs equal shapes, got {[x.shape for x in rows.values()]}")
-    encoder = SimpleTimeEncoder(rows.pop("time")) if "time" in rows else None
-    params = ModelParams(variant, rank, entity=s, encoder=encoder, **rows, **projections)
-    index = np.arange(s.shape[0])
-    g = Model(params).fuse(index, index, None if encoder is None else index).g
-    return g[0] if single else g
-
-
-def fuse_lowfer(subj, rel, subject_proj, relation_proj, rank: int) -> np.ndarray:
-    return _fuse_vectors(Variant.LOWFER, rank, subj, rel, subject_proj=subject_proj,
-                         relation_proj=relation_proj)
-
-
-def fuse_t(subj, rel, time, subject_proj, relation_proj, rank: int) -> np.ndarray:
-    return _fuse_vectors(Variant.T, rank, subj, rel, time, subject_proj=subject_proj,
-                         relation_proj=relation_proj)
-
-
-def fuse_tnt(subj, rel_temporal, rel_static, time,
-             subject_proj, relation_proj, rank: int) -> np.ndarray:
-    return _fuse_vectors(Variant.TNT, rank, subj, rel_temporal, time, rel_static,
-                         subject_proj=subject_proj, relation_proj=relation_proj)
-
-
-def fuse_cfb(subj, rel, time, subject_proj, relation_proj, time_proj,
-             chain_proj, rank: int) -> np.ndarray:
-    return _fuse_vectors(Variant.CFB, rank, subj, rel, time, subject_proj=subject_proj,
-                         relation_proj=relation_proj, time_proj=time_proj,
-                         chain_proj=chain_proj)
-
-
-def fuse_ftp(subj, rel, time, subject_proj, relation_proj, time_proj) -> np.ndarray:
-    return _fuse_vectors(Variant.FTP, 1, subj, rel, time, subject_proj=subject_proj,
-                         relation_proj=relation_proj, time_proj=time_proj)
 
 
 def score_all(fused, entity_table) -> np.ndarray:

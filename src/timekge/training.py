@@ -36,8 +36,6 @@ from .scoring import (
     Model,
     ModelParams,
     Variant,
-    _apply_keep,
-    _dropout_keep,
     init_params,
     param_layout,
 )
@@ -60,15 +58,6 @@ def _target_matrix(rows: np.ndarray, objects: np.ndarray, num_rows: int,
     y = np.full((num_rows, num_entities), smoothing / num_entities)
     y.reshape(-1)[rows * num_entities + objects] += 1.0 - smoothing
     return y
-
-
-def smooth_targets(true_objects, num_entities: int, smoothing: float) -> np.ndarray:
-    """Label-smoothed 0/1 target vector over all candidate objects."""
-    objs = np.asarray(list(true_objects) if isinstance(true_objects, set) else true_objects,
-                      dtype=np.int64).reshape(-1)
-    if objs.size == 0:
-        raise ConfigError("smooth_targets: empty true-object set (malformed grouping)")
-    return _target_matrix(np.zeros_like(objs), objs, 1, num_entities, smoothing)[0]
 
 
 def bce_loss(logits: np.ndarray, targets: np.ndarray) -> tuple[float, np.ndarray]:
@@ -113,20 +102,6 @@ def bce_loss(logits: np.ndarray, targets: np.ndarray) -> tuple[float, np.ndarray
             z -= ys
             z /= x.size
     return math.fsum(sums) / x.size, grad
-
-
-def apply_dropout(x, rate: float, rng: np.random.Generator | None = None,
-                  training: bool = True) -> np.ndarray:
-    """Inverted dropout: zero with probability ``rate``, scale survivors.
-
-    Identity when ``training`` is false or the rate is zero. The keep-mask
-    is the one :meth:`Model.fuse` samples, and is applied as it applies it.
-    """
-    out = np.array(x, dtype=np.float64, order="C")
-    keep = _dropout_keep(out.shape, rate, training, rng)
-    if keep is not None:
-        _apply_keep(out, keep, rate)
-    return out
 
 
 # ---------------------------------------------------------------------------

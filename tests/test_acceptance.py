@@ -29,16 +29,13 @@ from timekge.datasets import (
 )
 from timekge.evaluation import build_filter, evaluate
 from timekge.gradcheck import finite_diff_check
-from timekge.scoring import (
-    Model,
-    fuse_cfb,
-    fuse_ftp,
-    fuse_lowfer,
-    fuse_t,
-    fuse_tnt,
-    init_params,
+from timekge.scoring import Model, ModelParams, Variant, init_params
+from timekge.time_encoding import (
+    COMPONENTS,
+    SimpleTimeEncoder,
+    cycle_cardinalities,
+    decompose_date,
 )
-from timekge.time_encoding import COMPONENTS, cycle_cardinalities, decompose_date
 from timekge.training import TrainConfig, Trainer, bce_loss, load_checkpoint, save_checkpoint
 
 DAYS_IN_MONTH = [31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31]
@@ -117,22 +114,32 @@ def test_criterion_2_subsumption_equalities():
         denom = np.maximum(np.maximum(np.abs(a), np.abs(b)), 1e-300)
         return float(np.max(np.abs(a - b) / denom))
 
+    def fuse(variant, rank, time=None, **tables):
+        """The model's forward pass for one query, on one-row tables of the draw."""
+        encoder = None if time is None else SimpleTimeEncoder(time[None])
+        params = ModelParams(Variant(variant), rank, subj[None], rel[None],
+                             encoder=encoder, **tables)
+        index = np.arange(1)
+        return Model(params).fuse(index, index, None if time is None else index).g
+
     for _ in range(100):
         subj, rel, timev = rng.standard_normal((3, 4))
         sp, rp = rng.standard_normal((2, 4, 8))
         tp1, rp1, sp1 = rng.standard_normal((3, 4, 4))
+        bilinear = dict(subject_proj=sp, relation_proj=rp)
+        trilinear = dict(subject_proj=sp1, relation_proj=rp1, time_proj=tp1)
 
-        tnt = fuse_tnt(subj, rel, np.zeros(4), timev, sp, rp, rank=2)
-        t_only = fuse_t(subj, rel, timev, sp, rp, rank=2)
+        tnt = fuse("tnt", 2, timev, relation_static=np.zeros((1, 4)), **bilinear)
+        t_only = fuse("t", 2, timev, **bilinear)
         worst = max(worst, rel_gap(tnt, t_only))
 
-        t_unit = fuse_t(subj, rel, np.ones(4), sp, rp, rank=2)
-        static = fuse_lowfer(subj, rel, sp, rp, rank=2)
+        t_unit = fuse("t", 2, np.ones(4), **bilinear)
+        static = fuse("lowfer", 2, **bilinear)
         worst = max(worst, rel_gap(t_unit, static))
 
-        chained = fuse_cfb(subj, rel, timev, sp1, rp1, tp1, np.eye(4), rank=1)
-        trilinear = fuse_ftp(subj, rel, timev, sp1, rp1, tp1)
-        worst = max(worst, rel_gap(chained, trilinear))
+        chained = fuse("cfb", 1, timev, chain_proj=np.eye(4), **trilinear)
+        ftp = fuse("ftp", 1, timev, **trilinear)
+        worst = max(worst, rel_gap(chained, ftp))
     elapsed = time.perf_counter() - started
     ok = worst <= 1e-15 and elapsed < 5.0
     report(2, ok, f"max relative gap {worst:.2e} over 100 instances "

@@ -116,6 +116,16 @@ class TestTrain:
             for line in p.read_text().splitlines()]
         assert strip(first / "history.jsonl") == strip(second / "history.jsonl")
 
+    def test_earlier_run_checkpoints_do_not_replace_this_runs(self, tmp_path):
+        every = ["--checkpoint-policy", "every", "--checkpoint-every", "2"]
+        code, out = run_train(tmp_path, *every, "--epochs", "3")
+        assert code == 0 and (out / "checkpoint-epoch-1").is_dir()
+        # one epoch saves nothing under the policy, so the run falls back to its last state
+        code, out = run_train(tmp_path, *every, "--epochs", "1")
+        assert code == 0
+        manifest = json.loads((out / "checkpoint-last" / "manifest.json").read_text())
+        assert manifest["epoch"] == 0 and manifest["config"]["epochs"] == 1
+
 
 class TestEvaluate:
     def test_round_trip_checkpoint(self, tmp_path, capsys):

@@ -1,4 +1,4 @@
-"""Dense kernel contracts, checked against naive scalar-loop oracles."""
+"""Window-sum pooling (``scoring.pool_rows``) and the row gather into a caller's buffer."""
 
 import numpy as np
 import pytest
@@ -6,92 +6,26 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from timekge.errors import ShapeError
-from timekge.kernels import hadamard, matvec_t, sum_pool
-
-
-class TestMatvecT:
-    def test_identity(self):
-        x = np.array([1.0, 2.0, 3.0])
-        np.testing.assert_array_equal(matvec_t(np.eye(3), x), x)
-
-    def test_zero_matrix(self):
-        out = matvec_t(np.zeros((2, 4)), np.array([5.0, 7.0]))
-        np.testing.assert_array_equal(out, np.zeros(4))
-
-    def test_column_sums(self):
-        m = np.array([[1.0, 2.0], [3.0, 4.0]])
-        np.testing.assert_array_equal(matvec_t(m, np.ones(2)), [4.0, 6.0])
-
-    def test_dimension_mismatch_names_both_dims(self):
-        with pytest.raises(ShapeError, match="3.*does not match.*2"):
-            matvec_t(np.zeros((2, 5)), np.zeros(3))
-
-    def test_matches_scalar_loop_exactly(self):
-        # same accumulation order as the kernel, so equality is bitwise
-        rng = np.random.default_rng(7)
-        for _ in range(20):
-            m = rng.standard_normal((7, 13))
-            x = rng.standard_normal(7)
-            expected = np.zeros(13)
-            for j in range(13):
-                acc = 0.0
-                for i in range(7):
-                    acc += m[i, j] * x[i]
-                expected[j] = acc
-            np.testing.assert_array_equal(matvec_t(m, x), expected)
-
-
-class TestHadamard:
-    def test_ones_is_identity(self):
-        rng = np.random.default_rng(0)
-        a = rng.standard_normal(9)
-        np.testing.assert_array_equal(hadamard(a, np.ones(9)), a)
-
-    def test_hand_values(self):
-        np.testing.assert_array_equal(
-            hadamard([2.0, 3.0], [4.0, 5.0]), [8.0, 15.0])
-
-    def test_zero_annihilates(self):
-        rng = np.random.default_rng(1)
-        b = rng.standard_normal(5)
-        np.testing.assert_array_equal(hadamard(np.zeros(5), b), np.zeros(5))
-
-    def test_commutative_bitwise(self):
-        rng = np.random.default_rng(2)
-        for _ in range(50):
-            a = rng.standard_normal(17)
-            b = rng.standard_normal(17)
-            np.testing.assert_array_equal(hadamard(a, b), hadamard(b, a))
-
-    def test_associative_within_tolerance(self):
-        rng = np.random.default_rng(3)
-        for _ in range(50):
-            a, b, c = rng.standard_normal((3, 11))
-            left = hadamard(hadamard(a, b), c)
-            right = hadamard(a, hadamard(b, c))
-            np.testing.assert_allclose(left, right, rtol=1e-15)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ShapeError):
-            hadamard(np.zeros(3), np.zeros(4))
+from timekge.kernels import take_rows
+from timekge.scoring import pool_rows
 
 
 class TestSumPool:
     def test_hand_windows(self):
         np.testing.assert_array_equal(
-            sum_pool([1.0, 2.0, 3.0, 4.0], 2), [3.0, 7.0])
+            pool_rows(np.array([[1.0, 2.0, 3.0, 4.0]]), 2), [[3.0, 7.0]])
 
     def test_window_one_is_identity(self):
         rng = np.random.default_rng(4)
-        x = rng.standard_normal(8)
-        np.testing.assert_array_equal(sum_pool(x, 1), x)
+        x = rng.standard_normal((3, 8))
+        np.testing.assert_array_equal(pool_rows(x, 1), x)
 
     def test_zeros(self):
-        np.testing.assert_array_equal(sum_pool(np.zeros(6), 3), np.zeros(2))
+        np.testing.assert_array_equal(pool_rows(np.zeros((2, 6)), 3), np.zeros((2, 2)))
 
     def test_non_divisible_length(self):
-        with pytest.raises(ShapeError, match="not divisible"):
-            sum_pool(np.zeros(7), 2)
+        with pytest.raises(ShapeError, match="cannot pool width 7 with rank 2"):
+            pool_rows(np.zeros((1, 7)), 2)
 
     @settings(max_examples=50, deadline=None)
     @given(
@@ -101,11 +35,11 @@ class TestSumPool:
     )
     def test_linearity(self, window, d, seed):
         rng = np.random.default_rng(seed)
-        x = rng.standard_normal(window * d)
-        y = rng.standard_normal(window * d)
+        x = rng.standard_normal((3, window * d))
+        y = rng.standard_normal((3, window * d))
         alpha, beta = rng.standard_normal(2)
-        combined = sum_pool(alpha * x + beta * y, window)
-        separate = alpha * sum_pool(x, window) + beta * sum_pool(y, window)
+        combined = pool_rows(alpha * x + beta * y, window)
+        separate = alpha * pool_rows(x, window) + beta * pool_rows(y, window)
         np.testing.assert_allclose(combined, separate, rtol=1e-12, atol=1e-12)
 
     @settings(max_examples=50, deadline=None)
@@ -116,6 +50,17 @@ class TestSumPool:
     )
     def test_partition_preserves_total(self, window, d, seed):
         rng = np.random.default_rng(seed)
-        x = rng.standard_normal(window * d)
-        np.testing.assert_allclose(sum_pool(x, window).sum(), x.sum(),
+        x = rng.standard_normal((3, window * d))
+        np.testing.assert_allclose(pool_rows(x, window).sum(axis=1), x.sum(axis=1),
                                    rtol=1e-12, atol=1e-12)
+
+
+def test_take_rows_gathers_into_the_front_of_the_buffer():
+    rng = np.random.default_rng(5)
+    table = rng.standard_normal((6, 4))
+    index = np.array([[5, 0, 5], [2, 2, 1]])
+    scratch = np.full(30, np.nan)
+    out = take_rows(table, index, scratch)
+    np.testing.assert_array_equal(out, table[index])
+    assert np.shares_memory(out, scratch)
+    assert np.isnan(scratch[index.size * 4:]).all()

@@ -7,22 +7,19 @@ import pytest
 
 from timekge.errors import ConfigError, ShapeError
 from timekge.gradcheck import finite_diff_check
-from timekge.kernels import hadamard, matvec_t, sum_pool
 from timekge.scoring import (
     _CHUNK,
     Model,
+    ModelParams,
     Variant,
+    _apply_keep,
     _dropout_keep,
-    fuse_cfb,
-    fuse_ftp,
-    fuse_lowfer,
-    fuse_t,
-    fuse_tnt,
     init_params,
     pool_rows,
     score_all,
 )
-from timekge.training import apply_dropout, bce_loss
+from timekge.time_encoding import SimpleTimeEncoder
+from timekge.training import bce_loss
 
 TINY = dict(num_entities=5, num_relations=3, dim_entity=4, num_timestamps=4)
 TINY_DATES = [dt.date(2014, 1, d + 1) for d in range(4)]
@@ -61,29 +58,39 @@ def scaled_keep(keep, rate):
     return keep * (1.0 / (1.0 - rate))
 
 
+def fuse_one(variant, rank, subj, rel, time=None, **tables):
+    """``Model.fuse`` for one query on one-row tables built from its rows."""
+    subj, rel = np.atleast_2d(subj, rel)
+    encoder = None if time is None else SimpleTimeEncoder(np.atleast_2d(time))
+    params = ModelParams(Variant(variant), rank, subj, rel, encoder=encoder, **tables)
+    index = np.arange(1)
+    return Model(params).fuse(index, index, None if time is None else index).g[0]
+
+
 class TestFusionExamples:
     def test_lowfer_identity_projections(self):
-        g = fuse_lowfer([1.0, 2.0], [3.0, 4.0], np.eye(2), np.eye(2), rank=1)
+        g = fuse_one("lowfer", 1, [1.0, 2.0], [3.0, 4.0], subject_proj=np.eye(2),
+                     relation_proj=np.eye(2))
         np.testing.assert_array_equal(g, [3.0, 8.0])
 
     def test_lowfer_zero_relation(self):
         rng = np.random.default_rng(0)
-        g = fuse_lowfer(rng.standard_normal(3), np.zeros(3),
-                        rng.standard_normal((3, 6)), rng.standard_normal((3, 6)),
-                        rank=2)
+        g = fuse_one("lowfer", 2, rng.standard_normal(3), np.zeros(3),
+                     subject_proj=rng.standard_normal((3, 6)),
+                     relation_proj=rng.standard_normal((3, 6)))
         np.testing.assert_array_equal(g, np.zeros(3))
 
     def test_lowfer_matches_kernel_composition(self):
         rng = np.random.default_rng(1)
         subj, rel = rng.standard_normal((2, 3))
         sp, rp = rng.standard_normal((2, 3, 6))
-        g = fuse_lowfer(subj, rel, sp, rp, rank=2)
-        reference = sum_pool(hadamard(matvec_t(sp, subj), matvec_t(rp, rel)), 2)
+        g = fuse_one("lowfer", 2, subj, rel, subject_proj=sp, relation_proj=rp)
+        reference = ((subj @ sp) * (rel @ rp)).reshape(-1, 2).sum(-1)
         np.testing.assert_allclose(g, reference, rtol=1e-14)
 
     def test_ftp_hand_values(self):
-        g = fuse_ftp([1.0, 2.0], [3.0, 4.0], [5.0, 6.0],
-                     np.eye(2), np.eye(2), np.eye(2))
+        g = fuse_one("ftp", 1, [1.0, 2.0], [3.0, 4.0], [5.0, 6.0], subject_proj=np.eye(2),
+                     relation_proj=np.eye(2), time_proj=np.eye(2))
         np.testing.assert_array_equal(g, [15.0, 48.0])
 
     def test_ftp_zero_coordinate_annihilates(self):
@@ -92,25 +99,26 @@ class TestFusionExamples:
         rel = rng.standard_normal(2)
         time = rng.standard_normal(2)
         subj = np.zeros(2)  # zero subject projection coordinate-wise
-        g = fuse_ftp(subj, rel, time, sp, rp, tp)
+        g = fuse_one("ftp", 1, subj, rel, time, subject_proj=sp, relation_proj=rp,
+                     time_proj=tp)
         np.testing.assert_array_equal(g, np.zeros(2))
 
     def test_cfb_zero_time(self):
         rng = np.random.default_rng(3)
-        g = fuse_cfb(rng.standard_normal(2), rng.standard_normal(2), np.zeros(2),
-                     rng.standard_normal((2, 4)), rng.standard_normal((2, 4)),
-                     rng.standard_normal((2, 4)), rng.standard_normal((4, 4)),
-                     rank=2)
+        g = fuse_one("cfb", 2, rng.standard_normal(2), rng.standard_normal(2), np.zeros(2),
+                     subject_proj=rng.standard_normal((2, 4)),
+                     relation_proj=rng.standard_normal((2, 4)),
+                     time_proj=rng.standard_normal((2, 4)),
+                     chain_proj=rng.standard_normal((4, 4)))
         np.testing.assert_array_equal(g, np.zeros(2))
 
     def test_cfb_identity_chain_is_triple_hadamard(self):
         rng = np.random.default_rng(4)
         subj, rel, time = rng.standard_normal((3, 3))
         sp, rp, tp = rng.standard_normal((3, 3, 6))
-        g = fuse_cfb(subj, rel, time, sp, rp, tp, np.eye(6), rank=2)
-        reference = sum_pool(
-            hadamard(matvec_t(sp, subj), hadamard(matvec_t(rp, rel), matvec_t(tp, time))),
-            2)
+        g = fuse_one("cfb", 2, subj, rel, time, subject_proj=sp, relation_proj=rp,
+                     time_proj=tp, chain_proj=np.eye(6))
+        reference = ((subj @ sp) * (rel @ rp) * (time @ tp)).reshape(-1, 2).sum(-1)
         np.testing.assert_allclose(g, reference, rtol=1e-14)
 
 
@@ -122,8 +130,9 @@ class TestSubsumption:
         for _ in range(100):
             subj, rel, time = rng.standard_normal((3, 4))
             sp, rp = rng.standard_normal((2, 4, 8))
-            left = fuse_tnt(subj, rel, np.zeros(4), time, sp, rp, rank=2)
-            right = fuse_t(subj, rel, time, sp, rp, rank=2)
+            left = fuse_one("tnt", 2, subj, rel, time, relation_static=np.zeros((1, 4)),
+                            subject_proj=sp, relation_proj=rp)
+            right = fuse_one("t", 2, subj, rel, time, subject_proj=sp, relation_proj=rp)
             np.testing.assert_allclose(left, right, rtol=1e-15)
 
     def test_t_with_unit_time_equals_lowfer(self):
@@ -131,8 +140,8 @@ class TestSubsumption:
         for _ in range(100):
             subj, rel = rng.standard_normal((2, 4))
             sp, rp = rng.standard_normal((2, 4, 8))
-            left = fuse_t(subj, rel, np.ones(4), sp, rp, rank=2)
-            right = fuse_lowfer(subj, rel, sp, rp, rank=2)
+            left = fuse_one("t", 2, subj, rel, np.ones(4), subject_proj=sp, relation_proj=rp)
+            right = fuse_one("lowfer", 2, subj, rel, subject_proj=sp, relation_proj=rp)
             np.testing.assert_allclose(left, right, rtol=1e-15)
 
     def test_cfb_identity_chain_rank_one_equals_ftp(self):
@@ -140,58 +149,27 @@ class TestSubsumption:
         for _ in range(100):
             subj, rel, time = rng.standard_normal((3, 4))
             sp, rp, tp = rng.standard_normal((3, 4, 4))
-            left = fuse_cfb(subj, rel, time, sp, rp, tp, np.eye(4), rank=1)
-            right = fuse_ftp(subj, rel, time, sp, rp, tp)
+            projections = dict(subject_proj=sp, relation_proj=rp, time_proj=tp)
+            left = fuse_one("cfb", 1, subj, rel, time, chain_proj=np.eye(4), **projections)
+            right = fuse_one("ftp", 1, subj, rel, time, **projections)
             np.testing.assert_allclose(left, right, rtol=1e-15)
 
     def test_tnt_with_zero_temporal_reduces_to_static_lowfer(self):
         rng = np.random.default_rng(8)
         subj, rel_static, time = rng.standard_normal((3, 4))
         sp, rp = rng.standard_normal((2, 4, 8))
-        left = fuse_tnt(subj, np.zeros(4), rel_static, time, sp, rp, rank=2)
-        right = fuse_lowfer(subj, rel_static, sp, rp, rank=2)
+        left = fuse_one("tnt", 2, subj, np.zeros(4), time, relation_static=rel_static[None],
+                        subject_proj=sp, relation_proj=rp)
+        right = fuse_one("lowfer", 2, subj, rel_static, subject_proj=sp, relation_proj=rp)
         np.testing.assert_allclose(left, right, rtol=1e-15)
 
     def test_t_equals_lowfer_on_premodulated_relation(self):
         rng = np.random.default_rng(9)
         subj, rel, time = rng.standard_normal((3, 4))
         sp, rp = rng.standard_normal((2, 4, 8))
-        left = fuse_t(subj, rel, time, sp, rp, rank=2)
-        right = fuse_lowfer(subj, rel * time, sp, rp, rank=2)
+        left = fuse_one("t", 2, subj, rel, time, subject_proj=sp, relation_proj=rp)
+        right = fuse_one("lowfer", 2, subj, rel * time, subject_proj=sp, relation_proj=rp)
         np.testing.assert_allclose(left, right, rtol=1e-15)
-
-
-def free_fusion(name, rows, rng):
-    """Call ``fuse_<name>`` on its row arguments ``rows`` and random projections."""
-    d = rows[0].shape[-1]
-    rank = 1 if name == "ftp" else 2
-    sp, rp, tp = rng.standard_normal((3, d, rank * d))
-    if name == "cfb":
-        return fuse_cfb(*rows, sp, rp, tp, rng.standard_normal((rank * d, rank * d)), rank)
-    if name == "ftp":
-        return fuse_ftp(*rows, sp, rp, tp)
-    return {"lowfer": fuse_lowfer, "t": fuse_t, "tnt": fuse_tnt}[name](*rows, sp, rp, rank)
-
-
-# the row arguments of each free fusion function, in call order
-FREE_ROW_ARGS = {"lowfer": 2, "t": 3, "tnt": 4, "cfb": 3, "ftp": 3}
-
-
-class TestFreeFusionShapes:
-    @pytest.mark.parametrize("name", list(FREE_ROW_ARGS))
-    def test_disagreeing_row_counts_are_refused(self, name):
-        rng = np.random.default_rng(10)
-        for arg in range(FREE_ROW_ARGS[name]):
-            for count in (1, 3):  # every other argument has 2 rows
-                rows = [rng.standard_normal((count if i == arg else 2, 4))
-                        for i in range(FREE_ROW_ARGS[name])]
-                subject, other = (count, 2) if arg == 0 else (2, count)
-                with pytest.raises(ShapeError, match=f"{subject} subject, {other} "):
-                    free_fusion(name, rows, rng)
-        # vectors still give a vector, and one-row batches a one-row batch
-        vectors = list(rng.standard_normal((FREE_ROW_ARGS[name], 4)))
-        assert free_fusion(name, vectors, rng).shape == (4,)
-        assert free_fusion(name, [v[None, :] for v in vectors], rng).shape == (1, 4)
 
 
 class TestScoreAll:
@@ -231,29 +209,24 @@ class TestScoreAll:
 
 class TestModelForward:
     @pytest.mark.parametrize("variant", ["lowfer", "t", "tnt", "cfb", "ftp"])
-    def test_matches_free_fusion_functions(self, variant):
+    def test_matches_inline_variant_rules(self, variant):
+        # each rule of the module docstring, written out on the batch's rows
         model = tiny_model(variant, seed=11)
         p = model.params
-        rng = np.random.default_rng(12)
-        s, pr, t = random_batch(rng)
+        s, pr, t = random_batch(np.random.default_rng(12))
         cache = model.fuse(s, pr, t if variant != "lowfer" else None)
-        subj = p.entity[s]
         rel = p.relation[pr]
-        if variant == "lowfer":
-            expected = fuse_lowfer(subj, rel, p.subject_proj, p.relation_proj, p.rank)
-        else:
-            time = p.encoder.encode_batch(t)
-            if variant == "t":
-                expected = fuse_t(subj, rel, time, p.subject_proj, p.relation_proj, p.rank)
-            elif variant == "tnt":
-                expected = fuse_tnt(subj, rel, p.relation_static[pr], time,
-                                    p.subject_proj, p.relation_proj, p.rank)
-            elif variant == "cfb":
-                expected = fuse_cfb(subj, rel, time, p.subject_proj, p.relation_proj,
-                                    p.time_proj, p.chain_proj, p.rank)
-            else:
-                expected = fuse_ftp(subj, rel, time, p.subject_proj, p.relation_proj,
-                                    p.time_proj)
+        time = None if variant == "lowfer" else p.encoder.encode_batch(t)
+        if variant == "t":
+            rel = rel * time
+        elif variant == "tnt":
+            rel = rel * time + p.relation_static[pr]
+        right = rel @ p.relation_proj
+        if variant in ("cfb", "ftp"):
+            right = right * (time @ p.time_proj)
+        if variant == "cfb":
+            right = right @ p.chain_proj
+        expected = ((p.entity[s] @ p.subject_proj) * right).reshape(len(s), -1, p.rank).sum(-1)
         np.testing.assert_array_equal(cache.g, expected)
 
     def test_logits_are_query_times_entities(self):
@@ -281,7 +254,8 @@ class TestModelForward:
 
 
     def test_dropout_mask_is_the_scaled_uniform_draw(self):
-        mask = apply_dropout(np.ones((6, 5)), 0.3, np.random.default_rng(21))
+        mask = np.ones((6, 5))
+        _apply_keep(mask, _dropout_keep(mask.shape, 0.3, True, np.random.default_rng(21)), 0.3)
         expected = (np.random.default_rng(21).random((6, 5)) >= 0.3) / (1.0 - 0.3)
         assert mask.dtype == np.float64
         assert np.array_equal(mask, expected)
@@ -434,7 +408,7 @@ class TestBackward:
         """Unfused backward pass: every product a new array, every gradient
         accumulated into zeros."""
         p = model.params
-        grads = p.zero_grads()
+        grads = {name: np.zeros_like(t) for name, t in p.tensors().items()}
         dg = dlogits @ p.entity
         grads["entity"] += dlogits.T @ cache.g
         a = cache.a_unique[cache.a_index]
@@ -496,8 +470,13 @@ class TestBackward:
 
     def test_untouched_tensors_get_zero_gradient(self):
         model = tiny_model("lowfer", seed=6)
-        grads = model.params.zero_grads()
+        dlogits = np.random.default_rng(60).standard_normal((2, TINY["num_entities"]))
+        _, cache = model.forward([0, 3], [1, 1])
+        grads = model.backward(cache, dlogits)
         assert set(grads) == {"entity", "relation", "subject_proj", "relation_proj"}
+        untouched = np.arange(2 * TINY["num_relations"]) != 1
+        assert not grads["relation"][untouched].any()
+        assert grads["relation"][1].any()
 
     def test_batch_size_mismatch_rejected(self):
         model = tiny_model("t", seed=7)

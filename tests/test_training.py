@@ -17,18 +17,18 @@ from timekge.errors import (
     NumericError,
 )
 from timekge.evaluation import evaluate
+from timekge.scoring import _apply_keep, _dropout_keep
 from timekge import training
 from timekge.training import (
     AdamState,
     TrainConfig,
     Trainer,
+    _target_matrix,
     adam_step,
-    apply_dropout,
     bce_loss,
     decay_lr,
     load_checkpoint,
     save_checkpoint,
-    smooth_targets,
 )
 
 
@@ -46,23 +46,25 @@ def toy_dataset(facts, num_entities, num_relations, num_days,
     return Dataset(vocab=vocab, train=train, valid=valid, test=test)
 
 
+def smoothed_row(true_objects, num_entities, smoothing):
+    """The target row of one key that marks ``true_objects``."""
+    objects = np.asarray(true_objects)
+    return _target_matrix(np.zeros_like(objects), objects, 1, num_entities, smoothing)[0]
+
+
 class TestSmoothTargets:
     def test_no_smoothing_is_binary(self):
-        y = smooth_targets([2], 5, 0.0)
+        y = smoothed_row([2], 5, 0.0)
         np.testing.assert_array_equal(y, [0, 0, 1, 0, 0])
 
     def test_hand_values(self):
-        y = smooth_targets([7], 100, 0.01)
+        y = smoothed_row([7], 100, 0.01)
         assert y[7] == pytest.approx(0.9901, abs=1e-12)
         assert y[0] == pytest.approx(0.0001, abs=1e-12)
 
     def test_sum_identity(self):
-        y = smooth_targets([1, 3, 4], 20, 0.05)
+        y = smoothed_row([1, 3, 4], 20, 0.05)
         assert y.sum() == pytest.approx(0.95 * 3 + 0.05, abs=1e-12)
-
-    def test_empty_true_set_rejected(self):
-        with pytest.raises(ConfigError):
-            smooth_targets([], 5, 0.01)
 
 
 class TestBceLoss:
@@ -152,19 +154,23 @@ class TestBceLoss:
         assert batch_loss == pytest.approx(np.mean(rows), rel=1e-12)
 
 
+def dropped(x, rate, rng):
+    """A copy of ``x`` with a training keep-mask drawn and applied as Model.fuse does."""
+    out = np.array(x, dtype=np.float64)
+    _apply_keep(out, _dropout_keep(out.shape, rate, True, rng), rate)
+    return out
+
+
 class TestDropout:
     def test_zero_rate_is_identity(self):
-        x = np.arange(5, dtype=np.float64)
-        np.testing.assert_array_equal(apply_dropout(x, 0.0, None), x)
+        assert _dropout_keep((5,), 0.0, True, None) is None
 
     def test_eval_mode_is_identity(self):
-        x = np.arange(5, dtype=np.float64)
-        np.testing.assert_array_equal(
-            apply_dropout(x, 0.9, np.random.default_rng(0), training=False), x)
+        assert _dropout_keep((5,), 0.9, False, np.random.default_rng(0)) is None
 
     def test_survivors_scaled(self):
         rng = np.random.default_rng(2)
-        y = apply_dropout(np.ones(1000), 0.25, rng)
+        y = dropped(np.ones(1000), 0.25, rng)
         assert set(np.unique(y)) <= {0.0, 1.0 / 0.75}
 
     def test_expectation_preserved(self):
@@ -173,21 +179,20 @@ class TestDropout:
         total = np.zeros_like(x)
         draws = 100_000
         for _ in range(draws):
-            total += apply_dropout(x, 0.3, rng)
+            total += dropped(x, 0.3, rng)
         np.testing.assert_allclose(total / draws, x, rtol=0.02)
-
 
     @pytest.mark.parametrize("rate", [-0.5, -1e-12, 1.0, 1.5])
     def test_out_of_range_rate_rejected(self, rate):
         with pytest.raises(ConfigError):
-            apply_dropout(np.ones(4), rate, np.random.default_rng(0))
+            _dropout_keep((4,), rate, True, np.random.default_rng(0))
         with pytest.raises(ConfigError):
-            apply_dropout(np.ones(4), rate, np.random.default_rng(0), training=False)
+            _dropout_keep((4,), rate, False, np.random.default_rng(0))
 
     def test_uses_the_training_mask(self):
         x = np.linspace(-1.0, 1.0, 12).reshape(3, 4)
         mask = (np.random.default_rng(8).random(x.shape) >= 0.3) / (1.0 - 0.3)
-        assert np.array_equal(apply_dropout(x, 0.3, np.random.default_rng(8)), x * mask)
+        assert np.array_equal(dropped(x, 0.3, np.random.default_rng(8)), x * mask)
         # negative, infinite and nan inputs, dropped and kept: the same values,
         # nans and zero signs as one multiply by the float mask
         x = np.tile([-2.5, -0.0, 0.0, np.inf, -np.inf, np.nan, -np.nan, 3.0], (12, 1))
@@ -195,7 +200,7 @@ class TestDropout:
         assert (mask == 0).any(axis=0).all() and mask.any(axis=0).all()
         with np.errstate(invalid="ignore"):
             expected = x * mask
-            out = apply_dropout(x, 0.5, np.random.default_rng(9))
+            out = dropped(x, 0.5, np.random.default_rng(9))
         assert np.array_equal(out, expected, equal_nan=True)
         assert np.array_equal(np.signbit(out), np.signbit(expected))
 
@@ -353,9 +358,10 @@ class TestTrainingLoop:
                              trainer.adam, np.random.default_rng(11), cfg.lr)
         keys = trainer.keys[order]
         y = np.concatenate(batches)
+        num_entities, smoothing = ds.vocab.num_entities, cfg.label_smoothing
         for i, (s, p, t) in enumerate(keys.tolist()):
-            expected = smooth_targets(trainer.targets[(s, p, t)],
-                                      ds.vocab.num_entities, cfg.label_smoothing)
+            expected = np.full(num_entities, smoothing / num_entities)
+            expected[trainer.targets[(s, p, t)]] += 1.0 - smoothing
             assert np.array_equal(y[i], expected)
 
     def test_validation_records_on_interval(self):
