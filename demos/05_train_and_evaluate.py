@@ -18,7 +18,6 @@ from timekge import (
     Trainer,
     evaluate,
     load_checkpoint,
-    save_checkpoint,
     synthetic_dataset_dir,
 )
 
@@ -51,9 +50,7 @@ for split in ("valid", "test"):
 # --- checkpoint round trip -------------------------------------------------------
 with tempfile.TemporaryDirectory() as tmp:
     path = Path(tmp) / "ckpt"
-    save_checkpoint(path, trainer.model.params, vocab_hashes=ds.vocab.hashes(),
-                    epoch=config.epochs - 1, seed=config.seed,
-                    num_timestamps=trainer.num_timestamps)
+    trainer.save(path, epoch=config.epochs - 1)
     params, manifest = load_checkpoint(path, ds)
     reloaded = evaluate(Model(params), trainer.test_quads, trainer.filter)
     original = evaluate(trainer.model, trainer.test_quads, trainer.filter)

@@ -11,7 +11,7 @@ The package factors into:
   :meth:`Model.fuse`, with hand-derived gradients;
 * :mod:`timekge.kernels` -- the block size and row gather the batched
   passes share;
-* :mod:`timekge.training` -- 1-N loop, Adam, checkpoints;
+* :mod:`timekge.training` -- 1-N loop, Adam, a run's history and checkpoints;
 * :mod:`timekge.evaluation` -- filtered ranking metrics and count exports;
 * :mod:`timekge.cli` -- the ``timekge`` command.
 """

@@ -38,7 +38,6 @@ from .training import (
     TrainConfig,
     Trainer,
     load_checkpoint,
-    save_checkpoint,
 )
 
 ENCODE_TIME_HEADER = ("date,dow,dom,wom,dos,wos,mos,doy,woy,moy,soy,"
@@ -119,40 +118,7 @@ def cmd_train(args) -> int:
         json.dump(dataclasses.asdict(config), fh, indent=2, sort_keys=True)
         fh.write("\n")
 
-    hashes = dataset.vocab.hashes()
-    # hyperparameters only: checkpoint bytes must not depend on run paths
-    config_dict = dataclasses.asdict(config.train_config())
-    best_mrr = -1.0
-    history_path = out / "history.jsonl"
-    # what this run saved: checkpoints an earlier run left in ``out`` do not count
-    saved = []
-
-    def checkpoint(name: str, epoch: int) -> None:
-        save_checkpoint(
-            out / name, trainer.model.params, vocab_hashes=hashes,
-            epoch=epoch, seed=config.seed,
-            time_sampling_rate=config.time_sampling_rate,
-            num_timestamps=trainer.num_timestamps, config=config_dict)
-        saved.append(name)
-
-    with open(history_path, "w", encoding="utf-8") as history:
-        def on_epoch(record):
-            nonlocal best_mrr
-            history.write(json.dumps(record.to_json(), sort_keys=True) + "\n")
-            history.flush()
-            if config.checkpoint_policy == "best" and record.val is not None \
-                    and record.val["mrr"] > best_mrr:
-                best_mrr = record.val["mrr"]
-                checkpoint("checkpoint-best", record.epoch)
-            elif config.checkpoint_policy == "every" \
-                    and (record.epoch + 1) % config.checkpoint_every == 0:
-                checkpoint(f"checkpoint-epoch-{record.epoch}", record.epoch)
-
-        trainer.run(eval_interval=config.eval_interval, on_epoch=on_epoch)
-
-    last_epoch = config.epochs - 1
-    if config.checkpoint_policy == "last" or not saved:
-        checkpoint("checkpoint-last", last_epoch)
+    trainer.run(config.eval_interval, out, config.checkpoint_policy, config.checkpoint_every)
 
     metrics = trainer.evaluate_split("test", mode="filtered")
     payload = {"split": "test", "mode": "filtered", **metrics.to_dict()}

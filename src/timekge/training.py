@@ -323,13 +323,34 @@ class Trainer:
     def evaluate_split(self, split: str, mode: str = "filtered"):
         return evaluation.evaluate(self.model, self.splits[split], self.filter, mode=mode)
 
-    def run(self, eval_interval: int = 0, on_epoch=None) -> list[EpochRecord]:
+    def save(self, directory, epoch: int) -> None:
+        """Checkpoint the model with this run's vocab hashes, seed and hyperparameters."""
+        save_checkpoint(directory, self.model.params, vocab_hashes=self.vocab.hashes(),
+                        epoch=epoch, seed=self.config.seed,
+                        time_sampling_rate=self.config.time_sampling_rate,
+                        num_timestamps=self.num_timestamps,
+                        config=dataclasses.asdict(self.config))
+
+    def run(self, eval_interval: int = 0, out=None, checkpoint_policy: str | None = None,
+            checkpoint_every: int | None = None) -> list[EpochRecord]:
         """Train for the configured number of epochs.
 
         ``eval_interval > 0`` computes filtered validation metrics every
-        that many epochs (and on the final one). ``on_epoch`` is called
-        with each finished :class:`EpochRecord`.
+        that many epochs (and on the final one). Given an existing directory
+        ``out``, each record is appended to ``out/history.jsonl`` and the
+        model is saved by ``checkpoint_policy`` (which the caller validates):
+        ``best`` when validation MRR beats every earlier record's (refused
+        on an empty valid split), ``every`` after each ``checkpoint_every``-th
+        epoch; ``checkpoint-last`` is saved at the end if nothing else was.
+        Without ``out`` nothing is written.
         """
+        if out is not None:
+            if checkpoint_policy == "best" and not self.valid_quads.shape[0]:
+                raise ConfigError("checkpoint policy 'best' needs a non-empty valid split")
+            out = Path(out)
+            (out / "history.jsonl").write_text("")
+        # what this run saved: checkpoints an earlier run left in ``out`` do not count
+        saved = False
         for epoch in range(self.config.epochs):
             started = time.perf_counter()
             lr = decay_lr(self.config.lr, self.config.decay, epoch)
@@ -342,8 +363,20 @@ class Trainer:
                 record.val = self.evaluate_split("valid").to_dict()
             self.history.append(record)
             logger.info("epoch %d: loss=%.6f lr=%.6g", epoch, loss, lr)
-            if on_epoch is not None:
-                on_epoch(record)
+            if out is None:
+                continue
+            with open(out / "history.jsonl", "a", encoding="utf-8") as history:
+                history.write(json.dumps(record.to_json(), sort_keys=True) + "\n")
+            best = max((r.val["mrr"] for r in self.history[:-1] if r.val), default=-1.0)
+            if checkpoint_policy == "best" and record.val and record.val["mrr"] > best:
+                self.save(out / "checkpoint-best", epoch)
+            elif checkpoint_policy == "every" and (epoch + 1) % checkpoint_every == 0:
+                self.save(out / f"checkpoint-epoch-{epoch}", epoch)
+            else:
+                continue
+            saved = True
+        if out is not None and not saved:
+            self.save(out / "checkpoint-last", self.config.epochs - 1)
         return self.history
 
 

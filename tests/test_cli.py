@@ -23,6 +23,10 @@ def run_train(tmp_path, *extra):
     return code, out
 
 
+def checkpoint_names(out):
+    return sorted(p.name for p in out.iterdir() if p.name.startswith("checkpoint"))
+
+
 class TestTrain:
     def test_smoke_run_writes_artifacts(self, tmp_path, capsys):
         code, out = run_train(tmp_path)
@@ -125,6 +129,59 @@ class TestTrain:
         assert code == 0
         manifest = json.loads((out / "checkpoint-last" / "manifest.json").read_text())
         assert manifest["epoch"] == 0 and manifest["config"]["epochs"] == 1
+
+    def test_best_checkpoint_holds_the_first_best_epoch(self, tmp_path, capsys):
+        code, out = run_train(tmp_path, "--seed", "0", "--epochs", "4", "--eval-interval", "1")
+        assert code == 0
+        history = [json.loads(line)
+                   for line in (out / "history.jsonl").read_text().splitlines()]
+        mrrs = [h["val"]["mrr"] for h in history]
+        best = mrrs.index(max(mrrs))
+        # neither the first nor the last evaluation, so both would be caught
+        assert 0 < best < len(history) - 1
+        manifest = json.loads((out / "checkpoint-best" / "manifest.json").read_text())
+        assert manifest["epoch"] == best
+        assert checkpoint_names(out) == ["checkpoint-best"]
+        capsys.readouterr()
+        assert main(["evaluate", "--checkpoint", str(out / "checkpoint-best"),
+                     "--dataset", SYNTH, "--split", "valid"]) == 0
+        printed = json.loads(capsys.readouterr().out)
+        assert printed == {"split": "valid", "mode": "filtered", **history[best]["val"]}
+
+    @pytest.mark.parametrize("every", [2, 3])
+    def test_every_policy_saves_each_nth_epoch(self, tmp_path, every):
+        code, out = run_train(tmp_path, "--epochs", "4", "--checkpoint-policy", "every",
+                              "--checkpoint-every", str(every))
+        assert code == 0
+        epochs = [e for e in range(4) if (e + 1) % every == 0]
+        assert checkpoint_names(out) == [f"checkpoint-epoch-{e}" for e in epochs]
+        for e in epochs:
+            manifest = json.loads((out / f"checkpoint-epoch-{e}" / "manifest.json").read_text())
+            assert manifest["epoch"] == e
+
+    def test_last_policy_saves_only_the_last_epoch(self, tmp_path):
+        code, out = run_train(tmp_path, "--epochs", "4", "--checkpoint-policy", "last")
+        assert code == 0
+        assert checkpoint_names(out) == ["checkpoint-last"]
+        assert json.loads((out / "checkpoint-last" / "manifest.json").read_text())["epoch"] == 3
+
+    def test_best_policy_on_empty_valid_split_exits_1(self, tmp_path, capsys):
+        data = tmp_path / "data"
+        data.mkdir()
+        synth = Path(SYNTH)
+        (data / "train.txt").write_text(
+            (synth / "train.txt").read_text() + (synth / "test.txt").read_text())
+        (data / "valid.txt").write_text("")
+        (data / "test.txt").write_text((synth / "test.txt").read_text())
+        argv = ["train", "--dataset", str(data), "--variant", "tnt", *FAST_TRAIN,
+                "--epochs", "6", "--eval-interval", "1"]
+        assert main([*argv, "--out", str(tmp_path / "best")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "valid split" in err
+        assert checkpoint_names(tmp_path / "best") == []
+        assert not (tmp_path / "best" / "history.jsonl").exists()
+        # only ``best`` reads the valid split
+        assert main([*argv, "--out", str(tmp_path / "last"), "--checkpoint-policy", "last"]) == 0
 
 
 class TestEvaluate:

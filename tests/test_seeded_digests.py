@@ -1,0 +1,35 @@
+"""``tools/seeded_digests.py`` lists every seeded artifact of the nine
+variant/encoder pairs, so diffing its output for two trees covers them all."""
+
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PAIRS = ["lowfer-ste", "t-ste", "t-cte", "tnt-ste", "tnt-cte", "cfb-ste", "cfb-cte",
+         "ftp-ste", "ftp-cte"]
+# the checkpoint policy cycles best, every 2 and last over 3-epoch runs
+CHECKPOINTS = ["checkpoint-best", "checkpoint-epoch-1", "checkpoint-last"]
+
+
+def test_lists_every_pair_and_artifact():
+    done = subprocess.run([sys.executable, str(ROOT / "tools" / "seeded_digests.py"),
+                           "--src", str(ROOT / "src")],
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    files = {}
+    for line in done.stdout.splitlines():
+        pair, name, digest = line.split(" ")
+        assert re.fullmatch(r"[0-9a-f]{64}", digest), line
+        files.setdefault(pair, []).append(name)
+    assert list(files) == PAIRS
+    for pair, checkpoint in zip(PAIRS, CHECKPOINTS * 3):
+        names = files[pair]
+        assert len(names) == len(set(names))
+        tensors = {n for n in names if n.endswith(".bin")}
+        assert tensors and all(n.startswith(checkpoint + "/") for n in tensors)
+        assert set(names) - tensors == {
+            "train.stdout", "config.json", "history.jsonl", "metrics.json",
+            f"{checkpoint}/manifest.json", f"{checkpoint}/evaluate-filtered.stdout",
+            f"{checkpoint}/evaluate-raw.stdout"}

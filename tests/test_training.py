@@ -1,5 +1,6 @@
 """Loss pieces, Adam, the epoch loop, and checkpointing."""
 
+import dataclasses
 import datetime as dt
 import json
 import math
@@ -17,7 +18,7 @@ from timekge.errors import (
     NumericError,
 )
 from timekge.evaluation import evaluate
-from timekge.scoring import _apply_keep, _dropout_keep
+from timekge.scoring import Model, _apply_keep, _dropout_keep
 from timekge import training
 from timekge.training import (
     AdamState,
@@ -547,3 +548,67 @@ class TestCheckpoints:
         with pytest.raises(CheckpointCorruptError, match="refusing"):
             self.save(tmp_path, trainer, epoch=1)
         assert (tmp_path / "notes.txt").read_text() == "keep"
+
+
+class TestRunArtifacts:
+    """``Trainer.run`` given a directory writes the history and saves by the policy."""
+
+    def run(self, directory, policy, every=None):
+        ds = Dataset.from_dir(synthetic_dataset_dir())
+        cfg = TrainConfig(variant="tnt", dim_entity=8, rank=2, epochs=4, seed=0, batch_size=64)
+        trainer = Trainer(ds, cfg)
+        trainer.run(1, directory, policy, every)
+        return ds, trainer
+
+    @staticmethod
+    def checkpoints(directory):
+        return sorted(p.name for p in directory.iterdir() if p.name.startswith("checkpoint"))
+
+    def test_history_file_holds_every_record(self, tmp_path):
+        _, trainer = self.run(tmp_path, "last")
+        lines = (tmp_path / "history.jsonl").read_text().splitlines()
+        assert [json.loads(line) for line in lines] == [r.to_json() for r in trainer.history]
+
+    def test_best_checkpoint_holds_the_first_best_epoch(self, tmp_path):
+        ds, trainer = self.run(tmp_path, "best")
+        mrrs = [r.val["mrr"] for r in trainer.history]
+        best = mrrs.index(max(mrrs))
+        # neither the first nor the last evaluation, so both would be caught
+        assert 0 < best < len(mrrs) - 1
+        assert self.checkpoints(tmp_path) == ["checkpoint-best"]
+        params, manifest = load_checkpoint(tmp_path / "checkpoint-best", ds)
+        assert manifest["epoch"] == best
+        assert manifest["config"] == dataclasses.asdict(trainer.config)
+        metrics = evaluate(Model(params), trainer.valid_quads, trainer.filter)
+        assert metrics.to_dict() == trainer.history[best].val
+
+    @pytest.mark.parametrize("every", [2, 3])
+    def test_every_policy_saves_each_nth_epoch(self, tmp_path, every):
+        ds, _ = self.run(tmp_path, "every", every)
+        epochs = [e for e in range(4) if (e + 1) % every == 0]
+        assert self.checkpoints(tmp_path) == [f"checkpoint-epoch-{e}" for e in epochs]
+        for e in epochs:
+            assert load_checkpoint(tmp_path / f"checkpoint-epoch-{e}", ds)[1]["epoch"] == e
+
+    def test_last_policy_saves_only_the_last_epoch(self, tmp_path):
+        ds, trainer = self.run(tmp_path, "last")
+        assert self.checkpoints(tmp_path) == ["checkpoint-last"]
+        params, manifest = load_checkpoint(tmp_path / "checkpoint-last", ds)
+        assert manifest["epoch"] == 3
+        for name, tensor in trainer.model.params.tensors().items():
+            assert params.tensors()[name].tobytes() == tensor.tobytes()
+
+    def test_best_policy_refuses_an_empty_valid_split_before_training(self, tmp_path):
+        ds = toy_dataset([[0, 0, 1, 0], [1, 0, 2, 1]], 3, 1, 2, valid=np.zeros((0, 4)))
+        trainer = Trainer(ds, TrainConfig(variant="t", dim_entity=4, rank=2, epochs=2,
+                                          seed=1, batch_size=2))
+        with pytest.raises(ConfigError, match="valid split"):
+            trainer.run(1, tmp_path, "best", 1)
+        assert trainer.history == [] and not any(tmp_path.iterdir())
+
+    def test_no_directory_writes_nothing(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        ds = Dataset.from_dir(synthetic_dataset_dir())
+        Trainer(ds, TrainConfig(variant="tnt", dim_entity=8, rank=2, epochs=2, seed=0,
+                                batch_size=64)).run(eval_interval=1)
+        assert not any(tmp_path.iterdir())

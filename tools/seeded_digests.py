@@ -1,0 +1,109 @@
+#!/usr/bin/env python3
+"""Print SHA-256 digests of every seeded output of ``timekge train``/``evaluate``.
+
+Usage::
+
+    python3 tools/seeded_digests.py --src src > head.txt
+    python3 tools/seeded_digests.py --src ../base/src > base.txt
+    diff base.txt head.txt
+
+With ``--src DIR`` the work runs in one child process with
+``PYTHONPATH=DIR``, so each tree is digested by its own ``timekge``;
+without it, the ``timekge`` already importable is used. On the bundled
+synthetic dataset it trains the nine variant/encoder pairs (lowfer-ste, and
+t, tnt, cfb and ftp with both ste and cte) at d=16, k=2 (ftp k=1), 3
+epochs, batch 64, seed 7, evaluating every epoch, with the checkpoint
+policy cycling best, every 2 and last across the pairs. It then runs
+``timekge evaluate`` on each saved checkpoint, filtered and raw, and
+prints one ``pair file sha256`` line per artifact: every file the run
+wrote, its stdout and each evaluation's stdout. ``history.jsonl`` is
+hashed without ``seconds`` and ``config.json`` without ``out`` and
+``dataset``, the only fields that differ between repeats or trees.
+Equal output for two trees means their seeded outputs are byte-identical.
+"""
+
+import argparse
+import contextlib
+import hashlib
+import io
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+PAIRS = [("lowfer", "ste")] + [(variant, encoder) for variant in ("t", "tnt", "cfb", "ftp")
+                               for encoder in ("ste", "cte")]
+POLICIES = [["best"], ["every", "--checkpoint-every", "2"], ["last"]]
+
+
+def _cli(argv: list[str]) -> bytes:
+    """Stdout of one in-process ``timekge`` command, which must exit 0."""
+    # imported here: with ``--src`` only the child process imports timekge
+    from timekge.cli import main
+
+    buffer = io.StringIO()
+    with contextlib.redirect_stdout(buffer):
+        code = main(argv)
+    if code != 0:
+        raise SystemExit(f"timekge {' '.join(argv)} exited {code}")
+    return buffer.getvalue().encode("utf-8")
+
+
+def _canonical(path: Path) -> bytes:
+    """The file's bytes, less the fields that differ between repeats or trees."""
+    if path.name == "history.jsonl":
+        records = [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
+        return "".join(json.dumps({k: v for k, v in r.items() if k != "seconds"},
+                                  sort_keys=True) + "\n" for r in records).encode("utf-8")
+    if path.name == "config.json":
+        config = json.loads(path.read_text(encoding="utf-8"))
+        kept = {k: v for k, v in config.items() if k not in ("out", "dataset")}
+        return (json.dumps(kept, indent=2, sort_keys=True) + "\n").encode("utf-8")
+    return path.read_bytes()
+
+
+def digest_pair(index: int, variant: str, encoder: str, dataset: str,
+                work: Path) -> list[tuple[str, bytes]]:
+    """Train and evaluate one pair; returns its artifacts as (name, bytes)."""
+    out = work / f"{variant}-{encoder}"
+    policy = POLICIES[index % len(POLICIES)]
+    artifacts = [("train.stdout", _cli([
+        "train", "--dataset", dataset, "--out", str(out), "--variant", variant,
+        "--encoder", encoder, "--dim-entity", "16", "--rank", "1" if variant == "ftp" else "2",
+        "--epochs", "3", "--batch-size", "64", "--seed", "7", "--eval-interval", "1",
+        "--checkpoint-policy", *policy]))]
+    for path in sorted(p for p in out.rglob("*") if p.is_file()):
+        artifacts.append((path.relative_to(out).as_posix(), _canonical(path)))
+    for checkpoint in sorted(p for p in out.iterdir() if p.name.startswith("checkpoint-")):
+        for mode in ("filtered", "raw"):
+            artifacts.append((f"{checkpoint.name}/evaluate-{mode}.stdout", _cli([
+                "evaluate", "--checkpoint", str(checkpoint), "--dataset", dataset,
+                "--mode", mode])))
+    return artifacts
+
+
+def digest() -> None:
+    from timekge import synthetic_dataset_dir
+
+    dataset = str(synthetic_dataset_dir())
+    with tempfile.TemporaryDirectory() as work:
+        for index, (variant, encoder) in enumerate(PAIRS):
+            for name, data in digest_pair(index, variant, encoder, dataset, Path(work)):
+                print(f"{variant}-{encoder} {name} {hashlib.sha256(data).hexdigest()}")
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--src", help="source tree holding the timekge package to digest")
+    args = parser.parse_args()
+    if args.src is None:
+        digest()
+        return 0
+    env = {**os.environ, "PYTHONPATH": str(Path(args.src).resolve())}
+    return subprocess.run([sys.executable, str(Path(__file__).resolve())], env=env).returncode
+
+
+if __name__ == "__main__":
+    sys.exit(main())
