@@ -3,8 +3,9 @@
 The package factors into:
 
 * :mod:`timekge.gradcheck` -- finite-difference gradient checking;
-* :mod:`timekge.datasets` -- quadruple parsing, vocabularies, reciprocal
-  augmentation, time resampling, the sorted ``(s, p, t)`` target index;
+* :mod:`timekge.datasets` -- quadruple parsing into four parallel columns,
+  vocabularies, reciprocal augmentation, time resampling, the sorted
+  ``(s, p, t)`` target index;
 * :mod:`timekge.time_encoding` -- per-timestamp and cycle-decomposition
   time encoders;
 * :mod:`timekge.scoring` -- the five fusion variants, stated once in
@@ -19,12 +20,10 @@ The package factors into:
 from .datasets import (
     Dataset,
     QuadrupleColumns,
-    RawQuadruple,
     TargetIndex,
     Vocab,
     augment_reciprocal,
     build_vocab,
-    dataset_stats,
     group_targets,
     index_quadruples,
     parse_quadruples,
@@ -59,10 +58,9 @@ __version__ = "0.1.0"
 __all__ = [
     "AdamState", "COMPONENTS", "CycleIndices", "CyclicTimeEncoder", "Dataset",
     "GradCheckReport", "Model", "ModelParams", "QuadrupleColumns", "RankingMetrics",
-    "RawQuadruple", "SimpleTimeEncoder", "TargetIndex", "TrainConfig", "Trainer",
-    "Variant", "Vocab",
+    "SimpleTimeEncoder", "TargetIndex", "TrainConfig", "Trainer", "Variant", "Vocab",
     "adam_step", "augment_reciprocal", "bce_loss", "build_filter", "build_vocab",
-    "cycle_cardinalities", "dataset_stats", "decay_lr", "decompose_date", "evaluate",
+    "cycle_cardinalities", "decay_lr", "decompose_date", "evaluate",
     "finite_diff_check", "group_targets", "index_quadruples", "init_params",
     "load_checkpoint", "parse_quadruples", "rank_of", "resample_time", "save_checkpoint",
     "score_all", "synthetic_dataset_dir", "train_epoch",

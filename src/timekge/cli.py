@@ -35,8 +35,10 @@ from .evaluation import (
 from .scoring import Model
 from .time_encoding import decompose_date
 from .training import (
+    CHECKPOINT_POLICIES,
     TrainConfig,
     Trainer,
+    check_checkpoint_policy,
     load_checkpoint,
 )
 
@@ -66,12 +68,7 @@ class RunConfig(TrainConfig):
             raise ConfigError("an output directory is required")
         if self.eval_interval < 1:
             raise ConfigError("eval interval must be >= 1")
-        if self.checkpoint_policy not in ("best", "every", "last"):
-            raise ConfigError(
-                f"unknown checkpoint policy {self.checkpoint_policy!r} "
-                "(expected best, every or last)")
-        if self.checkpoint_every < 1:
-            raise ConfigError("checkpoint interval must be >= 1")
+        check_checkpoint_policy(self.checkpoint_policy, self.checkpoint_every)
 
 
 def load_run_config(config_path: str | None, overrides: dict) -> RunConfig:
@@ -114,6 +111,8 @@ def cmd_train(args) -> int:
 
     out = Path(config.out)
     out.mkdir(parents=True, exist_ok=True)
+    # a refused run writes no file, so the policy is checked before the first
+    trainer.check_policy(config.checkpoint_policy, config.checkpoint_every)
     with open(out / "config.json", "w", encoding="utf-8") as fh:
         json.dump(dataclasses.asdict(config), fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -217,7 +216,7 @@ def build_parser() -> argparse.ArgumentParser:
     train.add_argument("--seed", type=int)
     train.add_argument("--time-rate", type=int, dest="time_sampling_rate")
     train.add_argument("--eval-interval", type=int, dest="eval_interval")
-    train.add_argument("--checkpoint-policy", choices=["best", "every", "last"],
+    train.add_argument("--checkpoint-policy", choices=CHECKPOINT_POLICIES,
                        dest="checkpoint_policy")
     train.add_argument("--checkpoint-every", type=int, dest="checkpoint_every")
     train.set_defaults(func=cmd_train)

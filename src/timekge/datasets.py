@@ -4,7 +4,8 @@ Datasets are directories with tab-separated ``train``/``valid``/``test``
 files (a ``.txt`` or ``.tsv`` suffix is also accepted), one fact per
 line: ``subject \\t predicate \\t object \\t YYYY-MM-DD``.
 
-Indexed facts are stored as int64 arrays of shape (n, 4) with columns
+Parsed facts are four parallel columns (:class:`QuadrupleColumns`).
+Indexed facts are int64 arrays of shape (n, 4) with columns
 ``s, p, o, t``. Head queries are served through reciprocal relations:
 augmentation appends ``(o, p + R, s, t)`` for every fact, where ``R`` is
 the number of original relations, so a single tail-prediction code path
@@ -29,47 +30,15 @@ from .errors import DataError, MissingKeyError, OovError
 SPLIT_NAMES = ("train", "valid", "test")
 
 
-@dataclass(frozen=True)
-class RawQuadruple:
-    subject: str
-    predicate: str
-    object: str
-    date: dt.date
+@dataclass(frozen=True, eq=False)
+class QuadrupleColumns:
+    """Parsed facts as four parallel columns: fact ``i`` is
+    ``(subjects[i], predicates[i], objects[i], dates[i])``."""
 
-
-class QuadrupleColumns(Sequence):
-    """Read-only facts held as four parallel columns (subjects, predicates,
-    objects, dates). An index gives a :class:`RawQuadruple`, a slice another
-    ``QuadrupleColumns``; it equals any list of equal quadruples."""
-
-    def __init__(self, subjects, predicates, objects, dates):
-        self.columns = (subjects, predicates, objects, dates)
-
-    def __len__(self) -> int:
-        return len(self.columns[0])
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return QuadrupleColumns(*(column[i] for column in self.columns))
-        return RawQuadruple(*(column[i] for column in self.columns))
-
-    def __iter__(self):
-        return map(RawQuadruple, *self.columns)
-
-    def __eq__(self, other):
-        if not isinstance(other, (list, tuple, QuadrupleColumns)):
-            return NotImplemented
-        return len(self) == len(other) and all(map(operator.eq, self, other))
-
-    def __repr__(self) -> str:
-        return f"QuadrupleColumns({list(self)!r})"
-
-
-def _columns(raw: Sequence[RawQuadruple]) -> tuple:
-    if isinstance(raw, QuadrupleColumns):
-        return raw.columns
-    return tuple(list(map(operator.attrgetter(name), raw))
-                 for name in ("subject", "predicate", "object", "date"))
+    subjects: list[str]
+    predicates: list[str]
+    objects: list[str]
+    dates: list[dt.date]
 
 
 def _split_lines(text: str) -> list[str]:
@@ -91,7 +60,7 @@ def parse_quadruples(source, origin: str = "<stream>") -> QuadrupleColumns:
         except UnicodeDecodeError as exc:
             lineno = len(_split_lines(exc.object[:exc.start].decode("utf-8")))
             raise DataError(f"{origin}:{lineno}: not UTF-8 text: {exc}") from None
-    lines = _split_lines(source) if isinstance(source, str) else list(source)
+    lines = _split_lines(source)
     kept = list(compress(lines, map(str.strip, lines)))
     errors = []  # (row, rank on that row, message)
     tabs = np.fromiter(map(str.count, kept, repeat("\t")), np.int64, len(kept))
@@ -167,22 +136,21 @@ class Vocab:
         }
 
 
-def build_vocab(train: Sequence[RawQuadruple],
-                valid: Sequence[RawQuadruple] = (),
-                test: Sequence[RawQuadruple] = ()) -> Vocab:
+def build_vocab(*splits: QuadrupleColumns) -> Vocab:
+    """Vocabulary of ``splits``, given in train, valid, test order."""
     entities, relations, dates = {}, {}, set()
-    for subjects, predicates, objects, days in map(_columns, (train, valid, test)):
-        tokens = subjects + objects  # interleaved in fact order: s0, o0, s1, o1, ...
-        tokens[0::2], tokens[1::2] = subjects, objects
+    for split in splits:
+        tokens = split.subjects + split.objects  # interleaved in fact order: s0, o0, s1, ...
+        tokens[0::2], tokens[1::2] = split.subjects, split.objects
         entities.update(dict.fromkeys(tokens))
-        relations.update(dict.fromkeys(predicates))
-        dates.update(days)
+        relations.update(dict.fromkeys(split.predicates))
+        dates.update(split.dates)
     return Vocab(list(entities), list(relations), sorted(dates))
 
 
-def index_quadruples(raw: Sequence[RawQuadruple], vocab: Vocab) -> np.ndarray:
+def index_quadruples(raw: QuadrupleColumns, vocab: Vocab) -> np.ndarray:
     """Order-preserving substitution of tokens by their vocab indices."""
-    columns = _columns(raw)
+    columns = (raw.subjects, raw.predicates, raw.objects, raw.dates)
     lookups = (vocab.ent_index, vocab.rel_index, vocab.ent_index, vocab.date_index)
     n = len(columns[0])
     # one output filled in place: stacking four column temporaries instead
@@ -223,15 +191,12 @@ def resample_time(quads: np.ndarray, rate: int, num_timestamps: int
                   ) -> tuple[np.ndarray, int]:
     """Merge every ``rate`` consecutive timestamp indices into one bucket.
 
-    Returns the rewritten facts and the new timestamp count
+    Returns the rewritten facts as a new array and the new timestamp count
     ``ceil(num_timestamps / rate)``; ``rate == 1`` is the identity.
     """
     if rate < 1:
         raise DataError(f"sampling rate must be >= 1, got {rate}")
-    quads = np.asarray(quads, dtype=np.int64).reshape(-1, 4)
-    if rate == 1:
-        return quads.copy(), num_timestamps
-    out = quads.copy()
+    out = np.array(quads, dtype=np.int64).reshape(-1, 4)
     out[:, 3] //= rate
     return out, -(-num_timestamps // rate)
 
@@ -250,8 +215,6 @@ def prepare_splits(dataset: "Dataset", rate: int = 1) -> tuple[dict[str, np.ndar
 
 def resample_dates(dates: Sequence[dt.date], rate: int) -> list[dt.date]:
     """Representative date per bucket: the first date each bucket covers."""
-    if rate < 1:
-        raise DataError(f"sampling rate must be >= 1, got {rate}")
     return [dates[j] for j in range(0, len(dates), rate)]
 
 
@@ -301,17 +264,24 @@ class TargetIndex(Mapping):
     def __iter__(self):
         return map(tuple, self.key_array.tolist())
 
+    def _find(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Position of each ``(s, p, t)`` row of ``keys`` and whether it is indexed."""
+        if not len(self):
+            return np.zeros(keys.shape[0], dtype=np.int64), np.zeros(keys.shape[0], dtype=bool)
+        upper = np.array(self.bounds) - 1
+        inside = ((keys >= 0) & (keys <= upper)).all(axis=1)
+        codes = self._pack(np.clip(keys, 0, upper))
+        pos = np.minimum(np.searchsorted(self._codes, codes), len(self) - 1)
+        return pos, inside & (self._codes[pos] == codes)
+
     def __getitem__(self, key) -> np.ndarray:
         try:
-            s, p, t = (operator.index(k) for k in key)
-        except (TypeError, ValueError):
+            s, p, t = map(operator.index, key)
+            keys = np.array([[s, p, t]], dtype=np.int64)
+        except (TypeError, ValueError, OverflowError):  # not three integers of int64
             raise KeyError(key) from None
-        num_s, num_p, num_t = self.bounds
-        if not (0 <= s < num_s and 0 <= p < num_p and 0 <= t < num_t):
-            raise KeyError(key)
-        code = (s * num_p + p) * num_t + t
-        i = int(np.searchsorted(self._codes, code))
-        if i == len(self) or self._codes[i] != code:
+        (i,), (found,) = self._find(keys)
+        if not found:
             raise KeyError(key)
         return self.objects[self.offsets[i]:self.offsets[i + 1]]
 
@@ -323,14 +293,7 @@ class TargetIndex(Mapping):
         Raises :class:`MissingKeyError` naming the first key not indexed.
         """
         keys = np.asarray(keys, dtype=np.int64).reshape(-1, 3)
-        found = np.zeros(keys.shape[0], dtype=bool)
-        pos = np.zeros(keys.shape[0], dtype=np.int64)
-        if len(self):
-            upper = np.array(self.bounds) - 1
-            inside = ((keys >= 0) & (keys <= upper)).all(axis=1)
-            codes = self._pack(np.clip(keys, 0, upper))
-            pos = np.minimum(np.searchsorted(self._codes, codes), len(self) - 1)
-            found = inside & (self._codes[pos] == codes)
+        pos, found = self._find(keys)
         if not found.all():
             raise MissingKeyError(tuple(keys[np.argmin(found)].tolist()))
         starts = self.offsets[pos]
@@ -344,19 +307,6 @@ class TargetIndex(Mapping):
 def group_targets(quads: np.ndarray) -> TargetIndex:
     """Group facts by ``(s, p, t)``; values are sorted unique object arrays."""
     return TargetIndex(quads)
-
-
-def dataset_stats(vocab: Vocab, train, valid, test) -> dict:
-    return {
-        "num_entities": vocab.num_entities,
-        "num_relations": vocab.num_relations,
-        "num_timestamps": vocab.num_timestamps,
-        "num_train": len(train),
-        "num_valid": len(valid),
-        "num_test": len(test),
-        "date_min": vocab.dates[0].isoformat() if vocab.dates else None,
-        "date_max": vocab.dates[-1].isoformat() if vocab.dates else None,
-    }
 
 
 def _find_split(directory: Path, name: str) -> Path:
@@ -386,7 +336,7 @@ class Dataset:
             path = _find_split(directory, name)
             with open(path, "rb") as fh:
                 raw[name] = parse_quadruples(fh, origin=str(path))
-        if not raw["train"]:
+        if not raw["train"].subjects:
             raise DataError(f"train split in {directory} is empty")
         vocab = build_vocab(raw["train"], raw["valid"], raw["test"])
         return cls(
@@ -397,7 +347,17 @@ class Dataset:
         )
 
     def stats(self) -> dict:
-        return dataset_stats(self.vocab, self.train, self.valid, self.test)
+        dates = self.vocab.dates
+        return {
+            "num_entities": self.vocab.num_entities,
+            "num_relations": self.vocab.num_relations,
+            "num_timestamps": self.vocab.num_timestamps,
+            "num_train": len(self.train),
+            "num_valid": len(self.valid),
+            "num_test": len(self.test),
+            "date_min": dates[0].isoformat() if dates else None,
+            "date_max": dates[-1].isoformat() if dates else None,
+        }
 
 
 def synthetic_dataset_dir() -> Path:

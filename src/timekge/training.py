@@ -44,6 +44,7 @@ logger = logging.getLogger(__name__)
 
 RNG_ALGORITHM = "numpy-pcg64"
 CHECKPOINT_FORMAT = "timekge-checkpoint-v1"
+CHECKPOINT_POLICIES = ("best", "every", "last")
 
 
 # ---------------------------------------------------------------------------
@@ -223,6 +224,14 @@ def _check_type(field: dataclasses.Field, value) -> None:
         raise ConfigError(f"config field {field.name!r} must be {expected}, got {value!r}")
 
 
+def check_checkpoint_policy(policy: str, every: int | None) -> None:
+    """Refuse an unknown policy or an interval below 1; only ``every`` needs one."""
+    if policy not in CHECKPOINT_POLICIES:
+        raise ConfigError(f"unknown checkpoint policy {policy!r} (expected best, every or last)")
+    if (every is None and policy == "every") or (every is not None and every < 1):
+        raise ConfigError("checkpoint interval must be >= 1")
+
+
 @dataclass
 class EpochRecord:
     epoch: int
@@ -331,6 +340,12 @@ class Trainer:
                         num_timestamps=self.num_timestamps,
                         config=dataclasses.asdict(self.config))
 
+    def check_policy(self, checkpoint_policy: str, checkpoint_every: int | None) -> None:
+        """Refuse a checkpoint policy this run cannot apply."""
+        check_checkpoint_policy(checkpoint_policy, checkpoint_every)
+        if checkpoint_policy == "best" and not self.valid_quads.shape[0]:
+            raise ConfigError("checkpoint policy 'best' needs a non-empty valid split")
+
     def run(self, eval_interval: int = 0, out=None, checkpoint_policy: str | None = None,
             checkpoint_every: int | None = None) -> list[EpochRecord]:
         """Train for the configured number of epochs.
@@ -338,15 +353,14 @@ class Trainer:
         ``eval_interval > 0`` computes filtered validation metrics every
         that many epochs (and on the final one). Given an existing directory
         ``out``, each record is appended to ``out/history.jsonl`` and the
-        model is saved by ``checkpoint_policy`` (which the caller validates):
-        ``best`` when validation MRR beats every earlier record's (refused
-        on an empty valid split), ``every`` after each ``checkpoint_every``-th
-        epoch; ``checkpoint-last`` is saved at the end if nothing else was.
-        Without ``out`` nothing is written.
+        model is saved by ``checkpoint_policy``, which :meth:`check_policy`
+        vets before the first epoch: ``best`` when validation MRR beats
+        every earlier record's, ``every`` after each
+        ``checkpoint_every``-th epoch; ``checkpoint-last`` is saved at the
+        end if nothing else was. Without ``out`` nothing is written.
         """
         if out is not None:
-            if checkpoint_policy == "best" and not self.valid_quads.shape[0]:
-                raise ConfigError("checkpoint policy 'best' needs a non-empty valid split")
+            self.check_policy(checkpoint_policy, checkpoint_every)
             out = Path(out)
             (out / "history.jsonl").write_text("")
         # what this run saved: checkpoints an earlier run left in ``out`` do not count

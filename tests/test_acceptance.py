@@ -20,6 +20,7 @@ import pytest
 from timekge.cli import main as cli_main
 from timekge.datasets import (
     Dataset,
+    QuadrupleColumns,
     augment_reciprocal,
     build_vocab,
     index_quadruples,
@@ -308,7 +309,9 @@ def desk_scale_dataset() -> tuple[Dataset, str]:
         path = next(p for p in (directory / split, directory / f"{split}.txt")
                     if p.is_file())
         with open(path, "rb") as fh:
-            raw[split] = parse_quadruples(fh, origin=str(path))[:limit]
+            facts = parse_quadruples(fh, origin=str(path))
+        raw[split] = QuadrupleColumns(facts.subjects[:limit], facts.predicates[:limit],
+                                      facts.objects[:limit], facts.dates[:limit])
     vocab = build_vocab(raw["train"], raw["valid"], raw["test"])
     return Dataset(
         vocab=vocab,

@@ -183,6 +183,25 @@ class TestTrain:
         # only ``best`` reads the valid split
         assert main([*argv, "--out", str(tmp_path / "last"), "--checkpoint-policy", "last"]) == 0
 
+    @pytest.mark.parametrize("reason, code", [
+        ("empty valid split", 1), ("checkpoint interval", 1), ("missing dataset", 2)])
+    def test_refused_run_writes_nothing(self, tmp_path, capsys, reason, code):
+        data = tmp_path / "data"
+        data.mkdir()
+        synth = Path(SYNTH)
+        (data / "train.txt").write_text(
+            (synth / "train.txt").read_text() + (synth / "valid.txt").read_text())
+        (data / "valid.txt").write_text("")
+        (data / "test.txt").write_text((synth / "test.txt").read_text())
+        extra = {"empty valid split": [],
+                 "checkpoint interval": ["--checkpoint-every", "0"],
+                 "missing dataset": ["--dataset", str(tmp_path / "nope")]}[reason]
+        out = tmp_path / "out"
+        assert main(["train", "--dataset", str(data), "--out", str(out), "--variant", "tnt",
+                     *FAST_TRAIN, "--eval-interval", "1", *extra]) == code
+        assert capsys.readouterr().err.startswith("error:")
+        assert not out.exists() or not any(out.iterdir())
+
 
 class TestEvaluate:
     def test_round_trip_checkpoint(self, tmp_path, capsys):

@@ -16,12 +16,10 @@ from timekge import datasets
 from timekge.datasets import (
     Dataset,
     QuadrupleColumns,
-    RawQuadruple,
     TargetIndex,
     Vocab,
     augment_reciprocal,
     build_vocab,
-    dataset_stats,
     group_targets,
     index_quadruples,
     parse_quadruples,
@@ -33,18 +31,21 @@ from timekge.errors import DataError, MissingKeyError, OovError
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def raw(s, p, o, date):
-    return RawQuadruple(s, p, o, dt.date.fromisoformat(date))
+def facts(*rows):
+    """Columns of ``(s, p, o, "YYYY-MM-DD")`` rows."""
+    subjects, predicates, objects, dates = map(list, zip(*rows)) if rows else ([],) * 4
+    return QuadrupleColumns(subjects, predicates, objects,
+                            [dt.date.fromisoformat(d) for d in dates])
 
 
 class TestParse:
     def test_single_line(self):
         quads = parse_quadruples("A\tp\tB\t2014-01-01")
-        assert quads == [raw("A", "p", "B", "2014-01-01")]
+        assert vars(quads) == vars(facts(("A", "p", "B", "2014-01-01")))
 
     def test_empty_input(self):
-        assert parse_quadruples("") == []
-        assert parse_quadruples("\n\n") == []
+        assert vars(parse_quadruples("")) == vars(facts())
+        assert vars(parse_quadruples("\n\n")) == vars(facts())
 
     def test_wrong_column_count_reports_line(self):
         with pytest.raises(DataError, match=":2:"):
@@ -55,9 +56,11 @@ class TestParse:
             parse_quadruples("A\tp\tB\t2014-13-01")
 
     def test_crlf_and_bytes(self):
-        stream = io.BytesIO(b"A\tp\tB\t2014-01-01\r\nC\tq\tD\t2014-01-02\r\n")
+        stream = io.BytesIO(b"A\tp\tB\t2014-01-01\r\nC\tq\tD\t2014-01-02\r\n"
+                            b"E\tr\tF\t2014-01-01\r\n")
         quads = parse_quadruples(stream)
-        assert [q.subject for q in quads] == ["A", "C"]
+        assert quads.subjects == ["A", "C", "E"]
+        assert quads.dates[0] is quads.dates[2]  # parsed once per distinct string
 
     def test_empty_field_rejected(self):
         with pytest.raises(DataError, match="empty field"):
@@ -73,8 +76,8 @@ class TestParse:
     @pytest.mark.parametrize("sep", ["\u0085", "\u2028", "\u2029", "\x0b", "\x0c", "\x1c"])
     def test_only_cr_and_lf_end_a_line(self, sep):
         fact = f"A{sep}B\tp\tC{sep}D\t2014-01-01\n"
-        assert parse_quadruples(fact.encode(), "f.txt") == [
-            raw(f"A{sep}B", "p", f"C{sep}D", "2014-01-01")]
+        assert vars(parse_quadruples(fact.encode(), "f.txt")) == vars(
+            facts((f"A{sep}B", "p", f"C{sep}D", "2014-01-01")))
         with pytest.raises(DataError, match=r"^f.txt:3: bad date '2014-13-01'"):
             parse_quadruples((fact + "\r\nE\tq\tF\t2014-13-01\n").encode(), "f.txt")
         with pytest.raises(DataError, match="^f.txt:2: not UTF-8"):
@@ -94,35 +97,25 @@ class TestParse:
             parse_quadruples("\n".join(lines), "f.txt")
         assert str(info.value) == "f.txt" + message
 
-    def test_columns_index_slice_and_compare_like_a_list(self):
-        quads = parse_quadruples("A\tp\tB\t2014-01-02\n C \tq\tA\t2014-01-02\n")
-        expected = [raw("A", "p", "B", "2014-01-02"), raw("C", "q", "A", "2014-01-02")]
-        assert isinstance(quads, QuadrupleColumns) and len(quads) == 2
-        assert quads == expected and expected == quads and list(quads) == expected
-        assert quads[-1] == expected[-1] and quads[1:] == expected[1:]
-        assert isinstance(quads[:1], QuadrupleColumns) and quads[:1] != expected
-        assert quads != "AB" and quads != expected[0]
-        assert quads[0].date is quads[1].date  # parsed once per distinct string
-
 
 class TestVocab:
     def test_first_occurrence_order(self):
-        train = [raw("B", "p", "A", "2014-01-02"), raw("A", "q", "C", "2014-01-01")]
+        train = facts(("B", "p", "A", "2014-01-02"), ("A", "q", "C", "2014-01-01"))
         vocab = build_vocab(train)
         assert vocab.entities == ["B", "A", "C"]
         assert vocab.relations == ["p", "q"]
 
     def test_timestamps_sorted_chronologically(self):
-        train = [raw("A", "p", "B", "2014-03-01"), raw("A", "p", "B", "2014-01-05")]
+        train = facts(("A", "p", "B", "2014-03-01"), ("A", "p", "B", "2014-01-05"))
         vocab = build_vocab(train)
         assert [d.isoformat() for d in vocab.dates] == ["2014-01-05", "2014-03-01"]
 
     def test_single_quadruple(self):
-        vocab = build_vocab([raw("A", "p", "A", "2014-01-01")])
+        vocab = build_vocab(facts(("A", "p", "A", "2014-01-01")))
         assert (vocab.num_entities, vocab.num_relations, vocab.num_timestamps) == (1, 1, 1)
 
     def test_round_trip_bijections(self):
-        train = [raw("A", "p", "B", "2014-01-01"), raw("C", "q", "A", "2014-02-01")]
+        train = facts(("A", "p", "B", "2014-01-01"), ("C", "q", "A", "2014-02-01"))
         vocab = build_vocab(train)
         for i, e in enumerate(vocab.entities):
             assert vocab.ent_index[e] == i
@@ -132,43 +125,43 @@ class TestVocab:
             assert vocab.date_index[d] == i
 
     def test_relation_label_folds_reciprocals(self):
-        vocab = build_vocab([raw("A", "p", "B", "2014-01-01")])
+        vocab = build_vocab(facts(("A", "p", "B", "2014-01-01")))
         assert vocab.relation_label(0) == "p"
         assert vocab.relation_label(1) == "p_inverse"
 
     def test_hashes_change_with_content(self):
-        v1 = build_vocab([raw("A", "p", "B", "2014-01-01")])
-        v2 = build_vocab([raw("A", "p", "C", "2014-01-01")])
+        v1 = build_vocab(facts(("A", "p", "B", "2014-01-01")))
+        v2 = build_vocab(facts(("A", "p", "C", "2014-01-01")))
         assert v1.hashes() != v2.hashes()
-        assert v1.hashes() == build_vocab([raw("A", "p", "B", "2014-01-01")]).hashes()
+        assert v1.hashes() == build_vocab(facts(("A", "p", "B", "2014-01-01"))).hashes()
 
 
 class TestIndexing:
     def test_substitution(self):
-        train = [raw("A", "p", "B", "2014-01-02"), raw("B", "p", "A", "2014-01-01")]
+        train = facts(("A", "p", "B", "2014-01-02"), ("B", "p", "A", "2014-01-01"))
         vocab = build_vocab(train)
         quads = index_quadruples(train, vocab)
         np.testing.assert_array_equal(quads, [[0, 0, 1, 1], [1, 0, 0, 0]])
 
     def test_oov_entity_named(self):
-        vocab = build_vocab([raw("A", "p", "B", "2014-01-01")])
+        vocab = build_vocab(facts(("A", "p", "B", "2014-01-01")))
         with pytest.raises(OovError, match="'Zed'"):
-            index_quadruples([raw("Zed", "p", "B", "2014-01-01")], vocab)
+            index_quadruples(facts(("Zed", "p", "B", "2014-01-01")), vocab)
 
     def test_empty(self):
-        vocab = build_vocab([raw("A", "p", "B", "2014-01-01")])
-        assert index_quadruples([], vocab).shape == (0, 4)
+        vocab = build_vocab(facts(("A", "p", "B", "2014-01-01")))
+        assert index_quadruples(facts(), vocab).shape == (0, 4)
 
     def test_oov_named_in_row_major_order(self):
-        vocab = build_vocab([raw("A", "p", "B", "2014-01-01")])
-        rows = [raw("A", "p", "Obj", "2014-01-01"), raw("Subj", "p", "B", "2014-01-01")]
+        vocab = build_vocab(facts(("A", "p", "B", "2014-01-01")))
+        rows = facts(("A", "p", "Obj", "2014-01-01"), ("Subj", "p", "B", "2014-01-01"))
         with pytest.raises(OovError, match="^entity 'Obj' not in vocabulary$"):
             index_quadruples(rows, vocab)
         with pytest.raises(OovError, match="^relation 'q' not in vocabulary$"):
             index_quadruples(parse_quadruples("A\tp\tB\t2014-01-01\nA\tq\tObj\t2014-01-02"),
                              vocab)
         with pytest.raises(OovError, match="^date 2014-01-02 not in vocabulary$"):
-            index_quadruples([raw("A", "p", "B", "2014-01-02")], vocab)
+            index_quadruples(facts(("A", "p", "B", "2014-01-02")), vocab)
 
 
 def reference_parse(text):
@@ -191,28 +184,33 @@ def reference_parse(text):
             date = dt.date.fromisoformat(datestr)
         except ValueError as exc:
             raise DataError(f"<stream>:{lineno}: bad date {datestr!r}: {exc}") from None
-        out.append(RawQuadruple(subject, predicate, obj, date))
-    return out
+        out.append((subject, predicate, obj, date))
+    return QuadrupleColumns(*(list(column) for column in zip(*out))) if out else facts()
+
+
+def rows_of(columns):
+    return list(zip(columns.subjects, columns.predicates, columns.objects, columns.dates))
 
 
 def reference_vocab(*splits):
     entities, relations, dates = {}, {}, set()
-    for quad in (quad for split in splits for quad in split):
-        for token in (quad.subject, quad.object):
+    for subject, predicate, obj, date in (row for split in splits for row in rows_of(split)):
+        for token in (subject, obj):
             entities.setdefault(token, len(entities))
-        relations.setdefault(quad.predicate, len(relations))
-        dates.add(quad.date)
+        relations.setdefault(predicate, len(relations))
+        dates.add(date)
     return Vocab(list(entities), list(relations), sorted(dates))
 
 
 def reference_index(raw_quads, vocab):
-    out = np.empty((len(raw_quads), 4), dtype=np.int64)
-    for i, quad in enumerate(raw_quads):
+    rows = rows_of(raw_quads)
+    out = np.empty((len(rows), 4), dtype=np.int64)
+    for i, (subject, predicate, obj, date) in enumerate(rows):
         for j, (index, token, kind) in enumerate([
-                (vocab.ent_index, quad.subject, "entity"),
-                (vocab.rel_index, quad.predicate, "relation"),
-                (vocab.ent_index, quad.object, "entity"),
-                (vocab.date_index, quad.date, "date")]):
+                (vocab.ent_index, subject, "entity"),
+                (vocab.rel_index, predicate, "relation"),
+                (vocab.ent_index, obj, "entity"),
+                (vocab.date_index, date, "date")]):
             if token not in index:
                 shown = token.isoformat() if kind == "date" else repr(token)
                 raise OovError(f"{kind} {shown} not in vocabulary")
@@ -221,9 +219,10 @@ def reference_index(raw_quads, vocab):
 
 
 def outcome(call, *args):
-    """A call's result, or its error's type and message."""
+    """A call's result (parsed columns as a dict), or its error's type and message."""
     try:
-        return call(*args)
+        result = call(*args)
+        return vars(result) if isinstance(result, QuadrupleColumns) else result
     except DataError as exc:
         return type(exc), str(exc)
 
@@ -255,7 +254,7 @@ class TestColumnarMatchesPerLineReference:
     def test_parse_vocab_index_equal_reference(self, train, valid, test):
         raws = [parse_quadruples(text) for text in (train, valid, test)]
         expected = [reference_parse(text) for text in (train, valid, test)]
-        assert raws == expected
+        assert list(map(vars, raws)) == list(map(vars, expected))
         vocab, ref_vocab = build_vocab(*raws), reference_vocab(*expected)
         assert (vocab.entities, vocab.relations, vocab.dates) == (
             ref_vocab.entities, ref_vocab.relations, ref_vocab.dates)
@@ -402,6 +401,16 @@ def random_quads(rng, size, bounds=(6, 4, 6, 5)):
     return np.concatenate([quads, quads[rng.integers(0, size, size=size // 3)]])
 
 
+HUGE = st.one_of(st.integers(2**63, 2**80), st.integers(-2**80, -2**63 - 1))
+NOT_INTEGER_KEYS = st.one_of(
+    st.tuples(HUGE, st.integers(0, 3), st.integers(0, 4)),
+    st.tuples(st.integers(0, 5), st.integers(0, 3), HUGE),
+    st.tuples(st.integers(0, 5), st.floats(), st.integers(0, 4)),
+    st.tuples(st.integers(0, 5), st.integers(0, 3)),
+    st.tuples(*[st.integers(0, 3)] * 4),
+    st.text(max_size=3), st.integers(), st.none())
+
+
 class TestTargetIndex:
     @pytest.mark.parametrize("seed", range(5))
     def test_matches_dict_of_sets_reference(self, seed):
@@ -444,6 +453,26 @@ class TestTargetIndex:
         np.testing.assert_array_equal(index[(1, 0, 1)], [4])
         np.testing.assert_array_equal(index[(np.int64(2), np.int32(1), 0)], [5])
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.data())
+    def test_getitem_agrees_with_lookup(self, seed, data):
+        index = group_targets(random_quads(np.random.default_rng(seed), 30))
+        indexed = st.sampled_from([tuple(key) for key in index.key_array.tolist()])
+        near = st.tuples(*[st.integers(-2, 7)] * 3)  # bounds are (6, 4, 5)
+        for key in data.draw(st.lists(st.one_of(indexed, near), min_size=1, max_size=20)):
+            try:
+                _, objects = index.lookup([key])
+            except MissingKeyError:
+                with pytest.raises(KeyError):
+                    index[key]
+                continue
+            got = index[key]
+            np.testing.assert_array_equal(got, objects)
+            assert not got.flags.writeable
+        for key in data.draw(st.lists(NOT_INTEGER_KEYS, max_size=5)):
+            with pytest.raises(KeyError):
+                index[key]
+
     def test_batch_lookup_names_first_missing_key(self):
         index = group_targets(np.array([[1, 0, 4, 1], [2, 1, 5, 0], [0, 1, 6, 1]]))
         for missing in ([0, 2, 1], [1, 0, -1], [2, 1, 1], [5, 0, 0]):
@@ -478,9 +507,10 @@ class TestTargetIndex:
 
 class TestStatsAndLoading:
     def test_stats_fields(self):
-        train = [raw("A", "p", "B", "2014-01-03"), raw("B", "p", "A", "2014-01-01")]
+        train = facts(("A", "p", "B", "2014-01-03"), ("B", "p", "A", "2014-01-01"))
         vocab = build_vocab(train)
-        stats = dataset_stats(vocab, train, [], [])
+        empty = np.zeros((0, 4), dtype=np.int64)
+        stats = Dataset(vocab, index_quadruples(train, vocab), empty, empty).stats()
         assert stats == {
             "num_entities": 2, "num_relations": 1, "num_timestamps": 2,
             "num_train": 2, "num_valid": 0, "num_test": 0,

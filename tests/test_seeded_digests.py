@@ -1,5 +1,6 @@
 """``tools/seeded_digests.py`` lists every seeded artifact of the nine
-variant/encoder pairs, so diffing its output for two trees covers them all."""
+variant/encoder pairs and the dataset commands' outputs, so diffing its
+output for two trees covers them all."""
 
 import re
 import subprocess
@@ -11,6 +12,8 @@ PAIRS = ["lowfer-ste", "t-ste", "t-cte", "tnt-ste", "tnt-cte", "cfb-ste", "cfb-c
          "ftp-ste", "ftp-cte"]
 # the checkpoint policy cycles best, every 2 and last over 3-epoch runs
 CHECKPOINTS = ["checkpoint-best", "checkpoint-epoch-1", "checkpoint-last"]
+DATA = ["stats.stdout", "encode-time.stdout", "heatmap-rate1.csv", "concentration-rate1.csv",
+        "heatmap-rate4.csv", "concentration-rate4.csv"]
 
 
 def test_lists_every_pair_and_artifact():
@@ -23,7 +26,8 @@ def test_lists_every_pair_and_artifact():
         pair, name, digest = line.split(" ")
         assert re.fullmatch(r"[0-9a-f]{64}", digest), line
         files.setdefault(pair, []).append(name)
-    assert list(files) == PAIRS
+    assert list(files) == [*PAIRS, "data"]
+    assert files["data"] == DATA
     for pair, checkpoint in zip(PAIRS, CHECKPOINTS * 3):
         names = files[pair]
         assert len(names) == len(set(names))

@@ -606,6 +606,17 @@ class TestRunArtifacts:
             trainer.run(1, tmp_path, "best", 1)
         assert trainer.history == [] and not any(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("policy, every", [
+        ("bset", 1), ("every", 0), ("every", None), ("last", -1)])
+    def test_unknown_policy_or_interval_refused_before_training(self, tmp_path,
+                                                                policy, every):
+        ds = Dataset.from_dir(synthetic_dataset_dir())
+        trainer = Trainer(ds, TrainConfig(variant="tnt", dim_entity=8, rank=2, epochs=1,
+                                          seed=0, batch_size=64))
+        with pytest.raises(ConfigError, match="checkpoint"):
+            trainer.run(1, tmp_path, policy, every)
+        assert trainer.history == [] and not any(tmp_path.iterdir())
+
     def test_no_directory_writes_nothing(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         ds = Dataset.from_dir(synthetic_dataset_dir())

@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Print SHA-256 digests of every seeded output of ``timekge train``/``evaluate``.
+"""Print SHA-256 digests of every seeded output of ``timekge train``/``evaluate``
+and of the dataset commands ``stats``, ``encode-time`` and ``heatmap``.
 
 Usage::
 
@@ -19,6 +20,9 @@ prints one ``pair file sha256`` line per artifact: every file the run
 wrote, its stdout and each evaluation's stdout. ``history.jsonl`` is
 hashed without ``seconds`` and ``config.json`` without ``out`` and
 ``dataset``, the only fields that differ between repeats or trees.
+Lines of the group ``data`` then digest, on the same dataset, the stdout
+of ``timekge stats`` and ``timekge encode-time --dataset``, and both CSV
+files of ``timekge heatmap --concentration`` at time rates 1 and 4.
 Equal output for two trees means their seeded outputs are byte-identical.
 """
 
@@ -36,6 +40,7 @@ from pathlib import Path
 PAIRS = [("lowfer", "ste")] + [(variant, encoder) for variant in ("t", "tnt", "cfb", "ftp")
                                for encoder in ("ste", "cte")]
 POLICIES = [["best"], ["every", "--checkpoint-every", "2"], ["last"]]
+HEATMAP_RATES = (1, 4)
 
 
 def _cli(argv: list[str]) -> bytes:
@@ -84,6 +89,19 @@ def digest_pair(index: int, variant: str, encoder: str, dataset: str,
     return artifacts
 
 
+def digest_data(dataset: str, work: Path) -> list[tuple[str, bytes]]:
+    """Outputs of the commands that read only the dataset, as (name, bytes)."""
+    artifacts = [("stats.stdout", _cli(["stats", "--dataset", dataset])),
+                 ("encode-time.stdout", _cli(["encode-time", "--dataset", dataset]))]
+    for rate in HEATMAP_RATES:
+        heatmap = work / f"heatmap-rate{rate}.csv"
+        concentration = work / f"concentration-rate{rate}.csv"
+        _cli(["heatmap", "--dataset", dataset, "--out", str(heatmap),
+              "--concentration", str(concentration), "--time-rate", str(rate)])
+        artifacts += [(path.name, path.read_bytes()) for path in (heatmap, concentration)]
+    return artifacts
+
+
 def digest() -> None:
     from timekge import synthetic_dataset_dir
 
@@ -92,6 +110,8 @@ def digest() -> None:
         for index, (variant, encoder) in enumerate(PAIRS):
             for name, data in digest_pair(index, variant, encoder, dataset, Path(work)):
                 print(f"{variant}-{encoder} {name} {hashlib.sha256(data).hexdigest()}")
+        for name, data in digest_data(dataset, Path(work)):
+            print(f"data {name} {hashlib.sha256(data).hexdigest()}")
 
 
 def main() -> int:
