@@ -352,10 +352,6 @@ class FusedBatch:
     dropout_hidden: float
     g: np.ndarray               # fused query vectors, dropout applied
 
-    @property
-    def size(self) -> int:
-        return self.g.shape[0]
-
 
 class Model:
     """Bundles parameters with the batched forward/backward passes."""
@@ -418,74 +414,96 @@ class Model:
         cache = self.fuse(s_idx, p_idx, t_idx, **kwargs)
         return score_all(cache.g, self.params.entity), cache
 
-    def backward(self, cache: FusedBatch, dlogits: np.ndarray) -> dict[str, np.ndarray]:
+    def backward(self, inputs: dict) -> dict[str, np.ndarray]:
         """Gradients of the loss for every parameter tensor.
 
-        ``dlogits`` must match the cached batch. Entities collect two
-        contributions: as subjects (scattered per row) and as scoring
-        candidates (dense). Embedding tables a batch only partly touches
-        get zero rows. Projection gradients come straight from their
-        matmul, so an exact zero there may be ``-0.0``.
+        ``inputs`` holds the fields of one batch's :class:`FusedBatch` by
+        name, plus ``dlogits``, which must match the batch. Backward owns
+        them: it empties the dict and drops each array after its last read,
+        writing ``da`` over ``b`` (lowfer/t/tnt) or ``w`` (cfb/ftp) and, for
+        cfb/ftp, ``db`` over ``c``. A caller that reads the batch afterwards
+        passes copies of those three. Entities collect two contributions:
+        as subjects (scattered per row) and as scoring candidates (dense).
+        Embedding tables a batch only partly touches get zero rows.
+        Projection gradients come straight from their matmul, so an exact
+        zero there may be ``-0.0``.
         """
         p = self.params
-        dlogits = np.asarray(dlogits, dtype=np.float64)
-        if dlogits.shape != (cache.size, p.num_entities):
+        take = inputs.pop
+        dlogits = np.asarray(take("dlogits"), dtype=np.float64)
+        g = take("g")
+        if dlogits.shape != (g.shape[0], p.num_entities):
             raise ShapeError(
                 f"dlogits shape {dlogits.shape} does not match batch "
-                f"({cache.size}, {p.num_entities})"
+                f"({g.shape[0]}, {p.num_entities})"
             )
         tensors = p.tensors()
         grads = {name: np.zeros_like(tensors[name]) for name in _SCATTERED_GRADS
                  if name in tensors}
         # logits = g @ entity^T; the subject rows are scattered in below
-        grads["entity"] = dlogits.T @ cache.g
-
-        # dg and dh are fresh temporaries, updated in place from here on; each
-        # B x (k*d) temporary is deleted once nothing else reads it
+        grads["entity"] = dlogits.T @ g
         dg = dlogits @ p.entity
-        if cache.keep_hidden is not None:
-            _apply_keep(dg, cache.keep_hidden, cache.dropout_hidden)
-        dh = np.repeat(dg, p.rank, axis=1)
-        if cache.keep_input is not None:
-            _apply_keep(dh, cache.keep_input, cache.dropout_input)
+        del dlogits, g
 
-        # g pools a[a_index] * y, where y is w for cfb/ftp and b otherwise; for
-        # cfb/ftp, dy becomes d(inner), inner = b * c
-        da = dh * (cache.b if cache.w is None else cache.w)
-        dy = _multiply_rows(dh, cache.a_unique, cache.a_index)
+        # dg and dh are updated in place; an input read once is popped where
+        # it is read, so it goes when that statement ends
+        keep = take("keep_hidden")
+        if keep is not None:
+            _apply_keep(dg, keep, take("dropout_hidden"))
+        dh = np.repeat(dg, p.rank, axis=1)
+        del dg
+        keep = take("keep_input")
+        if keep is not None:
+            _apply_keep(dh, keep, take("dropout_input"))
+        del keep
+
+        # g pools a[a_index] * y, where y is w for cfb/ftp and b otherwise; da
+        # goes over y (ftp's w is its inner, which nothing reads again)
+        chained = p.variant in (Variant.CFB, Variant.FTP)
+        y = take("w") if chained else take("b")
+        if p.variant is Variant.FTP:
+            del inputs["inner"]
+        da = np.multiply(dh, y, out=y)
+        del y
+        dy = _multiply_rows(dh, take("a_unique"), take("a_index"))
         del dh
+        grads["subject_proj"] = take("subj").T @ da
+        dsubj = da @ p.subject_proj.T
+        del da
+
+        # for cfb/ftp, dy becomes d(inner), inner = b * c; db goes over c
         dtime = None
-        if p.variant in (Variant.CFB, Variant.FTP):
+        if chained:
             if p.variant is Variant.CFB:
-                grads["chain_proj"] = cache.inner.T @ dy
+                grads["chain_proj"] = take("inner").T @ dy
                 dy = dy @ p.chain_proj.T
-            db = dy * cache.c
-            dc = np.multiply(dy, cache.b, out=dy)
-            grads["time_proj"] = cache.time.T @ dc
+            c = take("c")
+            db = np.multiply(dy, c, out=c)
+            del c
+            dc = np.multiply(dy, take("b"), out=dy)
+            grads["time_proj"] = take("time").T @ dc
             dtime = dc @ p.time_proj.T
             del dc
         else:
             db = dy
         del dy
 
-        grads["relation_proj"] = cache.rel_in.T @ db
+        grads["relation_proj"] = take("rel_in").T @ db
         drel_in = db @ p.relation_proj.T
         del db
         if p.variant in (Variant.T, Variant.TNT):
             if p.variant is Variant.TNT:
-                np.add.at(grads["relation_static"], cache.p_idx, drel_in)
-            drel = drel_in * cache.time
-            dtime = np.multiply(drel_in, cache.rel, out=drel_in)
+                np.add.at(grads["relation_static"], inputs["p_idx"], drel_in)
+            drel = drel_in * take("time")
+            dtime = np.multiply(drel_in, take("rel"), out=drel_in)
         else:
             drel = drel_in
 
-        grads["subject_proj"] = cache.subj.T @ da
-        dsubj = da @ p.subject_proj.T
-
-        np.add.at(grads["entity"], cache.s_idx, dsubj)
-        np.add.at(grads["relation"], cache.p_idx, drel)
+        np.add.at(grads["entity"], take("s_idx"), dsubj)
+        np.add.at(grads["relation"], take("p_idx"), drel)
         if dtime is not None:
-            p.encoder.scatter_grad(cache.t_idx, dtime, grads)
+            p.encoder.scatter_grad(take("t_idx"), dtime, grads)
+        inputs.clear()  # what is left is unused: None fields, dropout rates
         return {name: grads[name] for name in tensors}
 
 

@@ -65,9 +65,14 @@ def bce_loss(logits: np.ndarray, targets: np.ndarray) -> tuple[float, np.ndarray
     """Mean binary cross-entropy over candidates, in overflow-safe form.
 
     Accepts one logits vector or a batch of them; the loss averages over
-    every element. Returns the loss and its gradient w.r.t. the logits.
+    every element. Returns the loss and its gradient w.r.t. the logits,
+    written over ``logits``: the returned array is ``logits`` itself when
+    that is a writeable C-contiguous float64 array, and a converted copy
+    otherwise. Each chunk is overwritten once its loss terms are summed and
+    found finite, so a raised :class:`NumericError` leaves the chunks before
+    the bad one overwritten.
     """
-    x = np.asarray(logits, dtype=np.float64)
+    x = np.require(logits, dtype=np.float64, requirements=["C", "W"])
     y = np.asarray(targets, dtype=np.float64)
     if x.shape != y.shape:
         raise ConfigError(f"logits shape {x.shape} != targets shape {y.shape}")
@@ -75,17 +80,17 @@ def bce_loss(logits: np.ndarray, targets: np.ndarray) -> tuple[float, np.ndarray
         raise ConfigError("bce_loss: no logits")
     # -[y log s(x) + (1-y) log(1-s(x))] == softplus(x) - y*x, where
     # softplus(x) = max(x, 0) + log1p(z) and s(x) = where(x >= 0, 1, z) / (1 + z)
-    # share one z = exp(-|x|), computed in place in the gradient's own memory
-    grad = np.empty(x.shape)
-    flat_x, flat_y, flat_grad = x.reshape(-1), y.reshape(-1), grad.reshape(-1)
+    # share one z = exp(-|x|); the gradient goes over the chunk's logits
+    # after their last read
+    flat_x, flat_y = x.reshape(-1), y.reshape(-1)
     width = min(_CHUNK, x.size)
-    terms, scratch, nonneg = np.empty(width), np.empty(width), np.empty(width, dtype=bool)
+    exps, terms, scratch = np.empty(width), np.empty(width), np.empty(width)
+    nonneg = np.empty(width, dtype=bool)
     sums = []
     with np.errstate(invalid="ignore", over="ignore"):
         for start in range(0, x.size, _CHUNK):
             xs, ys = flat_x[start:start + _CHUNK], flat_y[start:start + _CHUNK]
-            z = flat_grad[start:start + _CHUNK]
-            t, sc, pos = terms[:xs.size], scratch[:xs.size], nonneg[:xs.size]
+            z, t, sc, pos = exps[:xs.size], terms[:xs.size], scratch[:xs.size], nonneg[:xs.size]
             np.abs(xs, out=z)
             np.negative(z, out=z)
             np.exp(z, out=z)
@@ -99,10 +104,10 @@ def bce_loss(logits: np.ndarray, targets: np.ndarray) -> tuple[float, np.ndarray
             np.add(z, 1.0, out=t)
             np.greater_equal(xs, 0.0, out=pos)
             np.copyto(z, 1.0, where=pos)
-            z /= t
-            z -= ys
-            z /= x.size
-    return math.fsum(sums) / x.size, grad
+            np.divide(z, t, out=xs)
+            xs -= ys
+            xs /= x.size
+    return math.fsum(sums) / x.size, x
 
 
 # ---------------------------------------------------------------------------
@@ -276,9 +281,13 @@ def _train_step(model: Model, tensors: dict[str, np.ndarray], batch: np.ndarray,
                 rng: np.random.Generator, lr: float) -> float:
     """One 1-N step on a batch of keys; returns its mean loss.
 
-    The targets and logits are released before the backward pass, and
-    every other array of the batch when the step returns, before the next
-    batch's forward.
+    The step owns each batch array only until it hands it on: ``bce_loss``
+    writes the logit gradient over the logits, the targets are released
+    before the backward pass, and the cache's fields and the gradient go to
+    ``Model.backward`` in one dict that it empties, keeping no reference
+    here, so backward frees each array after its last read. Every array of
+    the batch is gone when the step returns, before the next batch's
+    forward.
     """
     y = _target_matrix(*targets.lookup(batch), batch.shape[0], model.params.num_entities,
                        config.label_smoothing)
@@ -289,7 +298,9 @@ def _train_step(model: Model, tensors: dict[str, np.ndarray], batch: np.ndarray,
     )
     loss, dlogits = bce_loss(logits, y)
     del logits, y
-    adam_step(tensors, model.backward(cache, dlogits), adam, lr)
+    inputs = {**vars(cache), "dlogits": dlogits}
+    del cache, dlogits
+    adam_step(tensors, model.backward(inputs), adam, lr)
     return loss
 
 

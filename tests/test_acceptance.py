@@ -91,7 +91,7 @@ def test_criterion_1_gradient_correctness():
 
         logits, cache = model.forward(s, p, t)
         _, dlogits = bce_loss(logits, targets)
-        grads = model.backward(cache, dlogits)
+        grads = model.backward({**vars(cache), "dlogits": dlogits})
         rep = finite_diff_check(loss, params.tensors(), grads,
                                 epsilon=1e-5, max_coords=256, seed=17)
         worst[variant] = rep.max_rel_error

@@ -10,8 +10,9 @@ import numpy as np
 import pytest
 
 from timekge import datasets, evaluation, scoring, training
+from timekge.kernels import _CHUNK
 
-E, R, T, D, K, B = 300, 8, 12, 16, 32, 500
+E, R, T, D, K, B = 300, 8, 12, 16, 64, 500
 W = K * D
 
 
@@ -67,16 +68,57 @@ def test_no_batch_survives_into_the_next(variant):
     assert together == pytest.approx(max(alone), rel=0.01)
 
 
+def passthrough(fn):
+    """Wrap ``fn`` as perfbench's tracer does: the wrapper holds the call's
+    arguments until the call returns."""
+    def traced(*args, **kwargs):
+        return fn(*args, **kwargs)
+    return traced
+
+
+def step_peaks(variant) -> list[int]:
+    """Traced peaks of one training step, called directly and with the loss
+    and backward wrapped."""
+    peaks = []
+    for wrapped in (False, True):
+        with pytest.MonkeyPatch.context() as mp:
+            if wrapped:
+                mp.setattr(training, "bce_loss", passthrough(training.bce_loss))
+                mp.setattr(scoring.Model, "backward", passthrough(scoring.Model.backward))
+            peaks.append(train_peaks(variant)[0][0])
+    return peaks
+
+
+def step_bound(cached: int, backward_wide: int) -> int:
+    """Bytes live at a training step's peak, the larger of two live sets.
+
+    In ``bce_loss``: the targets and the logits (the gradient goes over
+    them), ``cached`` B x W arrays of the cache, its bool keep-masks, five
+    B x D row arrays (subj, rel, rel_in, time, g) with four to spare, and
+    the loss's three chunk buffers. In backward, which drops dlogits after
+    dg, each keep-mask once applied and each cached array after its last
+    read, and writes da over b or w: ``backward_wide`` B x W arrays, the
+    input keep-mask, the same row arrays, and the gradients begun by then
+    (entity's and the zero-filled relation tables).
+
+    At this shape (W > 3E) backward sets the peak: dlogits or the cache
+    held past the hand-off would add B x E values or more, and a fresh da
+    B x W values.
+    """
+    loss = 8 * (2 * B * E + cached * B * W + 9 * B * D + 3 * _CHUNK) + B * W + B * D
+    backward = 8 * (backward_wide * B * W + 9 * B * D + (E + 4 * R) * D) + B * W
+    return max(loss, backward)
+
+
 def test_training_peak_holds_only_what_backward_reads():
-    # at the backward peak: dlogits, the cached a and b, the bool input
-    # keep-mask, dh and da, the gradients, and seven B x D row arrays (subj,
-    # rel, rel_in, time, g, dg, drel_in) with two to spare; live targets or
-    # logits would add 2 x B x E values, a float mask 7 x B x W bytes, and dh
-    # kept past drel_in the subject-projection gradient and three B x D arrays
-    (one, *_), _, model = train_peaks("tnt")
-    grads = sum(t.nbytes for t in model.params.tensors().values())
-    bound = 8 * (B * E + 4 * B * W + 9 * B * D) + B * W + grads
-    assert one < bound
+    # tnt caches a and b; its backward peaks holding dh, da (over b) and a
+    assert max(step_peaks("tnt")) < step_bound(2, 3)
+
+
+def test_cfb_step_peak_holds_only_what_backward_reads():
+    # cfb caches a, b, c, inner and w; its backward peaks holding dh, da
+    # (over w), a, b, c and inner
+    assert max(step_peaks("cfb")) < step_bound(5, 6)
 
 
 def test_cache_size_is_fixed_by_the_batch_shape():

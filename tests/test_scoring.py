@@ -53,6 +53,16 @@ def subject_patterns(rng, n):
     return patterns
 
 
+def run_backward(model, cache, dlogits):
+    """``model.backward`` on the batch's fields, with copies of the arrays it
+    writes over, so that ``cache`` reads the same afterwards."""
+    inputs = {**vars(cache), "dlogits": dlogits}
+    for name in ("b", "c", "w"):
+        if inputs[name] is not None:
+            inputs[name] = inputs[name].copy()
+    return model.backward(inputs)
+
+
 def scaled_keep(keep, rate):
     """A bool dropout keep-mask as inverted-dropout factors: 0 or 1/(1-rate)."""
     return keep * (1.0 / (1.0 - rate))
@@ -358,7 +368,7 @@ class TestBackward:
 
         logits, cache = model.forward(s, pr, t)
         _, dlogits = bce_loss(logits, targets)
-        grads = model.backward(cache, dlogits)
+        grads = run_backward(model, cache, dlogits)
         report = finite_diff_check(loss, model.params.tensors(), grads,
                                    epsilon=1e-5, max_coords=24, seed=seed)
         assert report.max_rel_error < 1e-4, report
@@ -376,7 +386,7 @@ class TestBackward:
 
         logits, cache = model.forward(s, pr, t)
         _, dlogits = bce_loss(logits, targets)
-        grads = model.backward(cache, dlogits)
+        grads = run_backward(model, cache, dlogits)
         report = finite_diff_check(loss, model.params.tensors(), grads,
                                    epsilon=1e-5, max_coords=16, seed=31)
         assert report.max_rel_error < 1e-4, report
@@ -398,7 +408,7 @@ class TestBackward:
 
         logits, cache = forward()
         _, dlogits = bce_loss(logits, targets)
-        grads = model.backward(cache, dlogits)
+        grads = run_backward(model, cache, dlogits)
         report = finite_diff_check(loss, model.params.tensors(), grads,
                                    epsilon=1e-5, max_coords=16, seed=41)
         assert report.max_rel_error < 1e-4, report
@@ -452,7 +462,7 @@ class TestBackward:
             kept = {name: getattr(cache, name)
                     for name in ("a_unique", "a_index", "b", "g", "keep_input", "keep_hidden")}
             kept = {name: value.copy() for name, value in kept.items()}
-            grads = model.backward(cache, dlogits)
+            grads = run_backward(model, cache, dlogits)
             expected = self.reference_backward(model, cache, dlogits)
             assert list(grads) == list(expected)
             for name, grad in grads.items():
@@ -465,14 +475,14 @@ class TestBackward:
         rng = np.random.default_rng(50)
         s, pr, t = random_batch(rng)
         _, cache = model.forward(s, pr, t)
-        grads = model.backward(cache, np.zeros((4, TINY["num_entities"])))
+        grads = run_backward(model, cache, np.zeros((4, TINY["num_entities"])))
         assert all(not g.any() for g in grads.values())
 
     def test_untouched_tensors_get_zero_gradient(self):
         model = tiny_model("lowfer", seed=6)
         dlogits = np.random.default_rng(60).standard_normal((2, TINY["num_entities"]))
         _, cache = model.forward([0, 3], [1, 1])
-        grads = model.backward(cache, dlogits)
+        grads = run_backward(model, cache, dlogits)
         assert set(grads) == {"entity", "relation", "subject_proj", "relation_proj"}
         untouched = np.arange(2 * TINY["num_relations"]) != 1
         assert not grads["relation"][untouched].any()
@@ -484,7 +494,7 @@ class TestBackward:
         s, pr, t = random_batch(rng)
         _, cache = model.forward(s, pr, t)
         with pytest.raises(ShapeError):
-            model.backward(cache, np.zeros((3, TINY["num_entities"])))
+            run_backward(model, cache, np.zeros((3, TINY["num_entities"])))
 
     def test_repeated_entity_accumulates_both_roles(self):
         model = tiny_model("t", seed=8)
@@ -494,11 +504,11 @@ class TestBackward:
         pr = np.array([0, 4])
         t = np.array([1, 3])
         _, cache = model.forward(s, pr, t)
-        grads = model.backward(cache, dlogits)
+        grads = run_backward(model, cache, dlogits)
         total = np.zeros_like(model.params.entity)
         for i in range(2):
             _, single = model.forward(s[i:i+1], pr[i:i+1], t[i:i+1])
-            g_i = model.backward(single, dlogits[i:i+1])
+            g_i = run_backward(model, single, dlogits[i:i+1])
             total += g_i["entity"]
         np.testing.assert_allclose(grads["entity"], total, rtol=1e-12, atol=1e-14)
 
@@ -508,10 +518,10 @@ class TestBackward:
         s, pr, t = random_batch(rng, n=6)
         dlogits = rng.standard_normal((6, TINY["num_entities"]))
         _, cache = model.forward(s, pr, t)
-        grads = model.backward(cache, dlogits)
+        grads = run_backward(model, cache, dlogits)
         perm = rng.permutation(6)
         _, cache_p = model.forward(s[perm], pr[perm], t[perm])
-        grads_p = model.backward(cache_p, dlogits[perm])
+        grads_p = run_backward(model, cache_p, dlogits[perm])
         for name in grads:
             np.testing.assert_allclose(grads_p[name], grads[name],
                                        rtol=1e-12, atol=1e-12)
@@ -532,9 +542,9 @@ class TestBackward:
         dlogits = rng.standard_normal((2, TINY["num_entities"]))
 
         _, cache_t = t_model.forward(s, pr, t)
-        grads_t = t_model.backward(cache_t, dlogits)
+        grads_t = run_backward(t_model, cache_t, dlogits)
         _, cache_tnt = tnt_model.forward(s, pr, t)
-        grads_tnt = tnt_model.backward(cache_tnt, dlogits)
+        grads_tnt = run_backward(tnt_model, cache_tnt, dlogits)
 
         time = t_model.params.encoder.encode_batch(t)
         for i, p in enumerate(pr):

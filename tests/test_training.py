@@ -9,7 +9,7 @@ import os
 import numpy as np
 import pytest
 
-from timekge.datasets import Dataset, Vocab, synthetic_dataset_dir
+from timekge.datasets import Dataset, Vocab, group_targets, synthetic_dataset_dir
 from timekge.errors import (
     CheckpointCorruptError,
     CheckpointShapeError,
@@ -18,7 +18,8 @@ from timekge.errors import (
     NumericError,
 )
 from timekge.evaluation import evaluate
-from timekge.scoring import Model, _apply_keep, _dropout_keep
+from timekge.kernels import _CHUNK
+from timekge.scoring import Model, _apply_keep, _dropout_keep, init_params
 from timekge import training
 from timekge.training import (
     AdamState,
@@ -30,7 +31,10 @@ from timekge.training import (
     decay_lr,
     load_checkpoint,
     save_checkpoint,
+    train_epoch,
 )
+
+import test_scoring
 
 
 def toy_dataset(facts, num_entities, num_relations, num_days,
@@ -86,12 +90,12 @@ class TestBceLoss:
         rng = np.random.default_rng(0)
         x = rng.standard_normal(12) * 3
         y = rng.random(12)
-        _, grad = bce_loss(x, y)
+        _, grad = bce_loss(x.copy(), y)
         eps = 1e-6
         for i in range(12):
             bumped = x.copy()
             bumped[i] += eps
-            up, _ = bce_loss(bumped, y)
+            up, _ = bce_loss(bumped.copy(), y)
             bumped[i] -= 2 * eps
             down, _ = bce_loss(bumped, y)
             numeric = (up - down) / (2 * eps)
@@ -121,7 +125,7 @@ class TestBceLoss:
     def test_matches_two_softplus_form(self, x):
         y = np.random.default_rng(6).random(x.shape)
         y.reshape(-1)[::3] = 1.0
-        loss, grad = bce_loss(x, y)
+        loss, grad = bce_loss(x.copy(), y)
         ref_loss, ref_grad = self.two_softplus_reference(x, y)
         assert np.array_equal(grad, ref_grad)
         assert abs(loss - ref_loss) <= 1e-14 * abs(ref_loss)
@@ -134,13 +138,39 @@ class TestBceLoss:
         assert loss == ref_loss
         assert np.array_equal(grad, ref_grad)
 
+    def test_gradient_is_written_over_the_logits(self):
+        x = np.random.default_rng(8).standard_normal((5, 9))
+        y = np.random.default_rng(9).random(x.shape)
+        ref_loss, ref_grad = bce_loss(x.copy(), y)
+        loss, grad = bce_loss(x, y)
+        assert grad is x and np.shares_memory(grad, x)
+        assert loss == ref_loss
+        assert np.array_equal(grad, ref_grad)
+
+    @pytest.mark.parametrize("view", [
+        lambda x: x.T,
+        lambda x: x[:, ::2],
+        lambda x: x.astype(np.float32),
+    ])
+    def test_other_logits_are_converted_and_left_as_they_are(self, view):
+        base = np.random.default_rng(10).standard_normal((30, 40)) * 4
+        x = view(base)
+        before = x.copy()
+        y = np.random.default_rng(11).random(x.shape)
+        loss, grad = bce_loss(x, y)
+        ref_loss, ref_grad = bce_loss(np.ascontiguousarray(x, dtype=np.float64), y)
+        assert not np.shares_memory(grad, x)
+        assert np.array_equal(x, before)
+        assert loss == ref_loss
+        assert np.array_equal(grad, ref_grad)
+
     @pytest.mark.parametrize("bad", [np.inf, -np.inf])
     def test_infinite_logits_rejected(self, bad):
         x = np.zeros(50_000)
         x[40_000] = bad
         for y in (np.zeros_like(x), np.full_like(x, 0.5)):
             with pytest.raises(NumericError):
-                bce_loss(x, y)
+                bce_loss(x.copy(), y)
 
     def test_empty_logits_rejected(self):
         with pytest.raises(ConfigError):
@@ -150,7 +180,7 @@ class TestBceLoss:
         rng = np.random.default_rng(1)
         x = rng.standard_normal((3, 7))
         y = rng.random((3, 7))
-        batch_loss, _ = bce_loss(x, y)
+        batch_loss, _ = bce_loss(x.copy(), y)
         rows = [bce_loss(x[i], y[i])[0] for i in range(3)]
         assert batch_loss == pytest.approx(np.mean(rows), rel=1e-12)
 
@@ -314,6 +344,43 @@ class TestTrainingLoop:
             trainer = Trainer(ds, cfg)
             losses.append([r.loss for r in trainer.run()])
         assert losses[0] == losses[1]
+
+    @pytest.mark.parametrize("variant", ["tnt", "cfb"])
+    @pytest.mark.parametrize("encoder", ["ste", "cte"])
+    def test_step_matches_reference_pieces_across_chunk_edges(self, variant, encoder):
+        # the logits span several loss chunks and each B x W product several
+        # row blocks, which the seeded digests' 64 x 40 batches never reach
+        n, e, r, t, d, k = 200, 600, 5, 12, 32, 16
+        assert n * e >= 3 * _CHUNK and n * k * d >= 3 * _CHUNK
+        rng = np.random.default_rng(0)
+        facts = np.stack([rng.integers(0, e, 3000), rng.integers(0, 2 * r, 3000),
+                          rng.integers(0, e, 3000), rng.integers(0, t, 3000)], axis=1)
+        targets = group_targets(facts)
+        keys = targets.key_array[:n]
+        dates = [dt.date(2014, 1, 1) + dt.timedelta(days=i) for i in range(t)]
+        cfg = TrainConfig(variant=variant, encoder=encoder, dim_entity=d, rank=k, batch_size=n)
+
+        def fresh_model():
+            return Model(init_params(variant, e, r, k, d, encoder=encoder, num_timestamps=t,
+                                     dates=dates, rng=np.random.default_rng(1)))
+
+        trained = fresh_model()
+        train_epoch(trained, keys, targets, cfg, AdamState.for_params(trained.params.tensors()),
+                    np.random.default_rng(2), cfg.lr)
+
+        model = fresh_model()
+        step_rng = np.random.default_rng(2)
+        batch = keys[step_rng.permutation(n)]
+        y = _target_matrix(*targets.lookup(batch), n, e, cfg.label_smoothing)
+        logits, cache = model.forward(batch[:, 0], batch[:, 1], batch[:, 2], training=True,
+                                      dropout_input=cfg.dropout_input,
+                                      dropout_hidden=cfg.dropout_hidden, rng=step_rng)
+        _, dlogits = TestBceLoss.two_softplus_reference(logits, y)
+        grads = test_scoring.TestBackward.reference_backward(model, cache, dlogits)
+        tensors = model.params.tensors()
+        adam_step(tensors, grads, AdamState.for_params(tensors), cfg.lr)
+        for name, tensor in trained.params.tensors().items():
+            assert tensor.tobytes() == tensors[name].tobytes(), name
 
     @pytest.mark.parametrize("variant", ["lowfer", "t", "tnt", "cfb", "ftp"])
     def test_loss_decreases_on_small_kg(self, variant):
