@@ -15,6 +15,16 @@ projects each distinct subject of a chunk once, and sorting puts the
 queries of one subject in as few chunks as possible. Ranks are stored by
 input position before any metric is averaged, so the order changes no
 result, and errors name input positions and keys in input order.
+
+A chunk holds 512 queries. Its memory is the forward cache (two
+B x (k*d) float64 arrays), the B x E logits and one B x E bool buffer that
+the finiteness check and both comparisons share, so evaluation peaks at
+one chunk's worth whatever the split's size. Each query's rank depends
+only on its own row of logits, so the chunk size changes no result.
+Smaller chunks cost time: at 256 queries the ICEWS14-shaped benchmark
+(2 vCPUs) ranked 1-16% slower per query than at 512, in the fuse and
+logit matmuls, which pack the shared projection and entity tables once
+per chunk.
 """
 
 import csv
@@ -96,11 +106,14 @@ class RankingMetrics(DirectionMetrics):
 
 
 def evaluate(model, quads: np.ndarray, flt: TargetIndex | None,
-             mode: str = "filtered", batch_size: int = 1024) -> RankingMetrics:
+             mode: str = "filtered", batch_size: int = 512) -> RankingMetrics:
     """Rank the true object of every query in a reciprocal-augmented split.
 
     Dropout stays off, so evaluation is deterministic. ``tail`` metrics
-    cover the original facts, ``head`` their reciprocal twins. Raises
+    cover the original facts, ``head`` their reciprocal twins. Queries
+    are ranked ``batch_size`` at a time in subject order; the default of
+    512 bounds the peak memory at one such chunk (see the module notes),
+    and any size gives the same ranks. Raises
     :class:`NumericError`, naming the queries' input positions, if any
     logit is non-finite. The filter is the
     :class:`TargetIndex` that :func:`build_filter` returns; the logits
@@ -127,9 +140,11 @@ def _chunk_ranks(model, quads: np.ndarray, rows: np.ndarray, flt: TargetIndex | 
     chunk = quads[rows]
     # the forward cache is dropped at once: ranking reads only the logits
     logits = model.forward(chunk[:, 0], chunk[:, 1], chunk[:, 3], training=False)[0]
+    # one B x E bool buffer holds the finiteness check and then each comparison
+    mask = np.isfinite(logits, out=np.empty(logits.shape, dtype=bool))
     # every comparison with NaN is false, so a NaN would rank first
-    if not np.isfinite(logits).all():
-        bad = np.sort(rows[~np.isfinite(logits).all(axis=1)])
+    if not mask.all():
+        bad = np.sort(rows[~mask.all(axis=1)])
         more = f", ... ({bad.size} in all)" if bad.size > 5 else ""
         raise NumericError("non-finite logits for queries at input positions "
                            f"{', '.join(map(str, bad[:5].tolist()))}{more}")
@@ -142,8 +157,8 @@ def _chunk_ranks(model, quads: np.ndarray, rows: np.ndarray, flt: TargetIndex | 
         other = known != true[hit]
         logits[hit[other], known[other]] = -np.inf
     s_true = logits[np.arange(chunk.shape[0]), true][:, None]
-    greater = np.count_nonzero(logits > s_true, axis=1)
-    ties = np.count_nonzero(logits == s_true, axis=1) - 1
+    greater = np.greater(logits, s_true, out=mask).sum(axis=1, dtype=np.intp)
+    ties = np.equal(logits, s_true, out=mask).sum(axis=1, dtype=np.intp) - 1
     return 1.0 + greater + 0.5 * ties
 
 

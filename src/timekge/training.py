@@ -211,6 +211,14 @@ class TrainConfig:
                 raise ConfigError(f"{name} must be finite and >= 0, got {value}")
         if self.epochs < 0:
             raise ConfigError("epochs must be >= 0")
+        # the schedule peaks at its first or last epoch; both must stay finite
+        try:
+            last = decay_lr(self.lr, self.decay, max(self.epochs - 1, 0))
+        except OverflowError:
+            last = math.inf
+        if not math.isfinite(last):
+            raise ConfigError(f"lr {self.lr} with decay {self.decay} overflows by epoch "
+                              f"{self.epochs - 1}")
         if not 0.0 <= self.label_smoothing < 1.0:
             raise ConfigError("label smoothing must be in [0, 1)")
         for rate in (self.dropout_input, self.dropout_hidden):
@@ -577,25 +585,36 @@ def load_checkpoint(directory, dataset: Dataset) -> tuple[ModelParams, dict]:
         raise CheckpointShapeError(
             f"tensor layout {recorded} does not match the declared model {layout}")
 
-    tensors = {}
-    for name, shape in layout.items():
-        path = directory / f"{name}.bin"
-        try:
-            raw = path.read_bytes()
-        except OSError as exc:
-            raise CheckpointCorruptError(f"cannot read {path}: {exc}") from None
-        count = int(np.prod(shape))
-        if len(raw) != count * 8:
-            raise CheckpointShapeError(
-                f"{path.name}: expected {count * 8} bytes for shape {shape}, "
-                f"got {len(raw)}")
-        tensors[name] = np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(shape)
-        # min and max carry any NaN or inf, with no tensor-sized temporary
-        tensor = tensors[name]
-        if tensor.size and not (np.isfinite(tensor.min()) and np.isfinite(tensor.max())):
-            raise CheckpointCorruptError(f"{path.name}: tensor {name!r} holds non-finite values")
+    tensors = {name: _read_tensor(directory / f"{name}.bin", name, shape)
+               for name, shape in layout.items()}
 
     params = ModelParams.from_tensors(Variant.from_string(manifest["variant"]),
                                       manifest["rank"], tensors,
                                       manifest.get("encoder"), dates)
     return params, manifest
+
+
+def _read_tensor(path: Path, name: str, shape: tuple) -> np.ndarray:
+    """The tensor in ``path``, read straight into its final array.
+
+    The file's size is checked before the read, so the tensor is held once:
+    no bytes object of the file beside it.
+    """
+    tensor = np.empty(shape, dtype="<f8")
+    try:
+        with open(path, "rb") as fh:
+            size = os.fstat(fh.fileno()).st_size
+            if size != tensor.nbytes:
+                raise CheckpointShapeError(
+                    f"{path.name}: expected {tensor.nbytes} bytes for shape {shape}, "
+                    f"got {size}")
+            read = fh.readinto(tensor.reshape(-1).view(np.uint8))
+    except OSError as exc:
+        raise CheckpointCorruptError(f"cannot read {path}: {exc}") from None
+    if read != tensor.nbytes:  # the file shrank after its size was read
+        raise CheckpointShapeError(
+            f"{path.name}: expected {tensor.nbytes} bytes for shape {shape}, got {read}")
+    # min and max carry any NaN or inf, with no tensor-sized temporary
+    if tensor.size and not (np.isfinite(tensor.min()) and np.isfinite(tensor.max())):
+        raise CheckpointCorruptError(f"{path.name}: tensor {name!r} holds non-finite values")
+    return tensor.astype(np.float64, copy=False)

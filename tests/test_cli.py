@@ -78,6 +78,16 @@ class TestTrain:
         assert capsys.readouterr().err.startswith("error:")
         assert not (tmp_path / "o").exists()
 
+    def test_overflowing_lr_schedule_exits_1(self, tmp_path, capsys):
+        # decay ** 2, the third epoch's factor, overflows the float range
+        code = main(["train", "--dataset", SYNTH, "--out", str(tmp_path / "o"), *FAST_TRAIN,
+                     "--decay", "1e200", "--lr", "1e-300", "--epochs", "3"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("error:") == 1
+        assert "Traceback" not in err
+        assert not (tmp_path / "o").exists()
+
     def test_int_for_float_and_null_dims_are_accepted(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"dataset": SYNTH, "out": str(tmp_path / "o"),

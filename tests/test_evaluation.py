@@ -257,6 +257,38 @@ class TestEvaluate:
         assert metrics.mrr >= metrics.hits1
 
 
+class TestChunkSize:
+    @pytest.mark.parametrize("variant, encoder", [("tnt", "ste"), ("cfb", "cte")])
+    def test_ranks_do_not_depend_on_the_chunk_size(self, monkeypatch, variant, encoder):
+        e, r, t, sizes = 400, 6, 20, (256, 512, 1024)
+        rng = np.random.default_rng(5)
+        facts = np.unique(np.stack([rng.integers(0, e, 1200), rng.integers(0, r, 1200),
+                                    rng.integers(0, e, 1200), rng.integers(0, t, 1200)],
+                                   axis=1), axis=0)
+        quads = augment_reciprocal(facts, r)
+        # every size cuts the subject order into several chunks, inside some
+        # subject's run of queries
+        subjects = np.sort(quads[:, 0])
+        assert quads.shape[0] > 2 * max(sizes)
+        edges = [np.arange(size, subjects.size, size) for size in sizes]
+        assert all((subjects[edge] == subjects[edge - 1]).any() for edge in edges)
+        dates = [dt.date(2014, 1, 1) + dt.timedelta(days=i) for i in range(t)]
+        model = Model(init_params(variant, e, r, 4, 16, encoder=encoder, num_timestamps=t,
+                                  dates=dates, rng=np.random.default_rng(6)))
+        flt = build_filter([quads])
+        seen = []
+        from_ranks = RankingMetrics.from_ranks
+        monkeypatch.setattr(RankingMetrics, "from_ranks", staticmethod(
+            lambda ranks, is_head: seen.append(ranks) or from_ranks(ranks, is_head)))
+        for mode in ("filtered", "raw"):
+            metrics = [evaluate(model, quads, flt, mode=mode, batch_size=size).to_dict()
+                       for size in sizes]
+            assert metrics[1] == metrics[0] and metrics[2] == metrics[0]
+        assert len(seen) == 2 * len(sizes)
+        for first, *others in (seen[:3], seen[3:]):
+            assert all(np.array_equal(ranks, first) for ranks in others)
+
+
 class TableScorer:
     """Duck-typed model whose logits are a fixed (s, p, t) -> row table."""
 

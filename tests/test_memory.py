@@ -1,4 +1,4 @@
-"""Peak memory of the 1-N training step and the ranking chunk.
+"""Peak memory of the 1-N training step, the ranking chunk and checkpoint loading.
 
 numpy reports its array allocations to ``tracemalloc``, so traced peaks
 are deterministic byte counts: no wall clock and no RSS is read.
@@ -145,6 +145,14 @@ def test_cache_size_is_fixed_by_the_batch_shape():
     assert one == pytest.approx(many, rel=0.01)
 
 
+def chunk_bound(rows: int) -> int:
+    """Bytes live while a ranking chunk of ``rows`` queries is scored: the
+    forward cache's a and b, the chunk's logits and its one bool buffer, and
+    twelve rows x D arrays (subj, rel, rel_in, time, g and gathers) with room
+    to spare; not the full rows x W product."""
+    return 8 * (2 * rows * W + rows * E + 12 * rows * D) + rows * E
+
+
 def test_no_chunk_survives_into_the_next():
     facts, model = setup("tnt")
     flt = evaluation.build_filter([facts])
@@ -159,5 +167,32 @@ def test_no_chunk_survives_into_the_next():
     run(chunks[0])  # warm-up
     alone = [traced_peak(lambda: run(chunk)) for chunk in chunks]
     assert traced_peak(lambda: run(queries)) == pytest.approx(max(alone), rel=0.01)
-    # the cached a and b and one chunk of logits, not the full B x W product
-    assert max(alone) < 8 * (2 * B * W + B * E + 12 * B * D) + 2 * B * E
+    assert max(alone) < chunk_bound(B)
+
+
+def test_default_chunk_holds_512_queries():
+    # more queries than two chunks of 1,024: the peak is one 512-query
+    # chunk's live set, beside the split's subject order and ranks
+    facts, model = setup("tnt")
+    flt = evaluation.build_filter([facts])
+    queries = facts[:2500]
+    evaluation.evaluate(model, queries[:B], flt)  # warm-up
+    peak = traced_peak(lambda: evaluation.evaluate(model, queries, flt))
+    assert peak < chunk_bound(512) + 16 * queries.shape[0]
+
+
+def test_checkpoint_load_holds_each_tensor_once(tmp_path):
+    # each tensor is read straight into its array: no file-sized bytes beside it
+    dataset = datasets.Dataset.from_dir(datasets.synthetic_dataset_dir())
+    vocab = dataset.vocab
+    params = scoring.init_params("cfb", vocab.num_entities, vocab.num_relations, 16, 64,
+                                 encoder="ste", num_timestamps=vocab.num_timestamps,
+                                 rng=np.random.default_rng(0))
+    size = sum(t.nbytes for t in params.tensors().values())
+    path = tmp_path / "checkpoint"
+    training.save_checkpoint(path, params, vocab_hashes=vocab.hashes(), epoch=0, seed=0,
+                             num_timestamps=vocab.num_timestamps)
+    training.load_checkpoint(path, dataset)  # warm-up
+    loaded = []
+    peak = traced_peak(lambda: loaded.append(training.load_checkpoint(path, dataset)))
+    assert size > 8 << 20 and peak < size + (1 << 20)

@@ -312,6 +312,16 @@ class TestDecay:
         with pytest.raises(ConfigError):
             decay_lr(0.01, 0.99, -1)
 
+    @pytest.mark.parametrize("lr, decay", [(1e-300, 1e200), (1e300, 1e10)])
+    def test_overflowing_schedule_refused(self, lr, decay):
+        # decay ** 2 overflows the float range; lr * decay ** 2 overflows to inf
+        with pytest.raises(ConfigError, match="overflows"):
+            TrainConfig(lr=lr, decay=decay, epochs=3).validate()
+
+    def test_schedule_checked_only_over_the_configured_epochs(self):
+        TrainConfig(lr=1e-300, decay=1e200, epochs=2).validate()
+        TrainConfig(lr=0.01, decay=1e200, epochs=0).validate()
+
 
 class TestTrainingLoop:
     def test_zero_lr_leaves_parameters_untouched(self):
@@ -509,6 +519,20 @@ class TestCheckpoints:
         blob = (path / "entity.bin").read_bytes()
         (path / "entity.bin").write_bytes(blob[:-8])
         with pytest.raises(CheckpointShapeError):
+            load_checkpoint(path, ds)
+
+    def test_overlong_tensor_file(self, tmp_path):
+        ds, _, path = self.make_trained(tmp_path)
+        with open(path / "entity.bin", "ab") as fh:
+            fh.write(bytes(8))
+        with pytest.raises(CheckpointShapeError, match="entity.bin"):
+            load_checkpoint(path, ds)
+
+    def test_unreadable_tensor_file(self, tmp_path):
+        ds, _, path = self.make_trained(tmp_path)
+        (path / "relation.bin").unlink()
+        (path / "relation.bin").mkdir()
+        with pytest.raises(CheckpointCorruptError, match="relation.bin"):
             load_checkpoint(path, ds)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
