@@ -15,6 +15,7 @@ import dataclasses
 import datetime as dt
 import json
 import sys
+import typing
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -32,8 +33,8 @@ from .evaluation import (
     export_time_concentration,
     export_time_relation_heatmap,
 )
-from .scoring import Model
-from .time_encoding import decompose_date
+from .scoring import Model, Variant
+from .time_encoding import ENCODERS, decompose_date
 from .training import (
     CHECKPOINT_POLICIES,
     TrainConfig,
@@ -44,6 +45,11 @@ from .training import (
 
 ENCODE_TIME_HEADER = ("date,dow,dom,wom,dos,wos,mos,doy,woy,moy,soy,"
                       "g1,g10,g100,g1000")
+
+# train flags: the one not named after its RunConfig field, and those with fixed values
+_FLAG_NAMES = {"time_sampling_rate": "--time-rate"}
+_FLAG_CHOICES = {"variant": [v.value for v in Variant], "encoder": list(ENCODERS),
+                 "checkpoint_policy": CHECKPOINT_POLICIES}
 
 
 @dataclass
@@ -131,7 +137,7 @@ def cmd_train(args) -> int:
 def cmd_evaluate(args) -> int:
     dataset = Dataset.from_dir(args.dataset)
     params, manifest = load_checkpoint(args.checkpoint, dataset)
-    splits, _ = prepare_splits(dataset, int(manifest.get("time_sampling_rate", 1)))
+    splits, _ = prepare_splits(dataset, manifest["time_sampling_rate"])
     # raw ranking reads no filter
     flt = build_filter(list(splits.values())) if args.mode == "filtered" else None
     metrics = evaluate(Model(params), splits[args.split], flt, mode=args.mode)
@@ -196,29 +202,15 @@ def build_parser() -> argparse.ArgumentParser:
         description="Temporal knowledge-graph completion with low-rank fusion")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    train = sub.add_parser("train", help="train a model and evaluate on test")
+    train = sub.add_parser("train", help="train a model and evaluate on test",
+                           description="Each flag overrides the RunConfig field of its "
+                                       "name (--time-rate sets time_sampling_rate).")
     train.add_argument("--config", help="JSON run configuration")
-    train.add_argument("--dataset", help="dataset directory")
-    train.add_argument("--out", help="output directory")
-    train.add_argument("--variant", choices=["lowfer", "t", "tnt", "cfb", "ftp"])
-    train.add_argument("--encoder", choices=["ste", "cte"])
-    train.add_argument("--dim-entity", type=int, dest="dim_entity")
-    train.add_argument("--dim-relation", type=int, dest="dim_relation")
-    train.add_argument("--dim-time", type=int, dest="dim_time")
-    train.add_argument("--rank", type=int)
-    train.add_argument("--lr", type=float)
-    train.add_argument("--decay", type=float)
-    train.add_argument("--batch-size", type=int, dest="batch_size")
-    train.add_argument("--label-smoothing", type=float, dest="label_smoothing")
-    train.add_argument("--dropout-input", type=float, dest="dropout_input")
-    train.add_argument("--dropout-hidden", type=float, dest="dropout_hidden")
-    train.add_argument("--epochs", type=int)
-    train.add_argument("--seed", type=int)
-    train.add_argument("--time-rate", type=int, dest="time_sampling_rate")
-    train.add_argument("--eval-interval", type=int, dest="eval_interval")
-    train.add_argument("--checkpoint-policy", choices=CHECKPOINT_POLICIES,
-                       dest="checkpoint_policy")
-    train.add_argument("--checkpoint-every", type=int, dest="checkpoint_every")
+    for f in dataclasses.fields(RunConfig):
+        kind = (typing.get_args(f.type) or (f.type,))[0]  # int for int | None
+        train.add_argument(_FLAG_NAMES.get(f.name, "--" + f.name.replace("_", "-")),
+                           dest=f.name, type=None if kind is str else kind,
+                           choices=_FLAG_CHOICES.get(f.name))
     train.set_defaults(func=cmd_train)
 
     ev = sub.add_parser("evaluate", help="evaluate a checkpoint on a split")

@@ -32,6 +32,7 @@ from .errors import ConfigError, ShapeError
 from .kernels import _CHUNK, take_rows
 from .time_encoding import (
     COMPONENTS,
+    ENCODERS,
     CyclicTimeEncoder,
     SimpleTimeEncoder,
     component_rows_for,
@@ -118,7 +119,7 @@ class ModelParams:
         cyclic one also needs the date of every timestamp index.
         """
         time_encoder = None
-        if variant.uses_time and encoder == "ste":
+        if variant.uses_time and encoder == SimpleTimeEncoder.kind:
             time_encoder = SimpleTimeEncoder(tensors["time"])
         elif variant.uses_time:
             if dates is None:
@@ -172,8 +173,8 @@ def param_layout(
     ``num_relations`` counts original relations; tables are sized for the
     reciprocal-augmented index space ``[0, 2 * num_relations)``. An unset
     ``dim_relation`` defaults to ``dim_entity``, an unset ``dim_time`` to
-    ``dim_relation``. Raises :class:`ConfigError` for a model no variant
-    can build.
+    ``dim_relation``; ``encoder`` (one of :data:`ENCODERS`) is optional for
+    ``lowfer`` only. Raises :class:`ConfigError` for a model no variant can build.
     """
     if isinstance(variant, str):
         variant = Variant.from_string(variant)
@@ -187,6 +188,8 @@ def param_layout(
         raise ConfigError(
             f"modulation needs dim_time == dim_relation, got {dim_time} != {dim_relation}"
         )
+    if encoder not in ENCODERS and (encoder is not None or variant.uses_time):
+        raise ConfigError(f"unknown encoder {encoder!r} (expected one of: {', '.join(ENCODERS)})")
 
     width = rank * dim_entity
     layout = {
@@ -201,16 +204,13 @@ def param_layout(
         layout["time_proj"] = (dim_time, width)
     if variant is Variant.CFB:
         layout["chain_proj"] = (width, width)
-    if variant.uses_time:
-        if encoder == "ste":
-            if num_timestamps is None:
-                raise ConfigError("ste encoder needs num_timestamps")
-            layout["time"] = (num_timestamps, dim_time)
-        elif encoder == "cte":
-            for comp, card in cycle_cardinalities().items():
-                layout[f"time_{comp}"] = (card, dim_time)
-        else:
-            raise ConfigError(f"unknown encoder {encoder!r} (expected 'ste' or 'cte')")
+    if variant.uses_time and encoder == SimpleTimeEncoder.kind:
+        if num_timestamps is None:
+            raise ConfigError("ste encoder needs num_timestamps")
+        layout["time"] = (num_timestamps, dim_time)
+    elif variant.uses_time:
+        for comp, card in cycle_cardinalities().items():
+            layout[f"time_{comp}"] = (card, dim_time)
     return layout
 
 

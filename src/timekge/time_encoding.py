@@ -211,6 +211,10 @@ class CyclicTimeEncoder:
         grads.update(_component_views(grad, self.offsets))
 
 
+#: The encoder names that configs, manifests and ``--encoder`` use.
+ENCODERS = (SimpleTimeEncoder.kind, CyclicTimeEncoder.kind)
+
+
 def _component_views(stacked: np.ndarray, offsets: np.ndarray) -> dict[str, np.ndarray]:
     return {f"time_{c}": stacked[offsets[j]:offsets[j + 1]]
             for j, c in enumerate(COMPONENTS)}

@@ -197,15 +197,14 @@ class TrainConfig:
     time_sampling_rate: int = 1
 
     def validate(self) -> None:
-        """Refuse a field of the wrong type, then any value no run can use."""
+        """Refuse a field of the wrong type, then any value no run can use; the
+        model rules are :func:`param_layout`'s, asked at unit counts, so no data."""
         for f in dataclasses.fields(self):
             _check_type(f, getattr(self, f.name))
-        Variant.from_string(self.variant)
-        if self.encoder not in ("ste", "cte"):
-            raise ConfigError(f"unknown encoder {self.encoder!r} (expected 'ste' or 'cte')")
-        sizes = (self.dim_entity, self.dim_relation, self.dim_time, self.rank, self.batch_size)
-        if any(n is not None and n < 1 for n in sizes):
-            raise ConfigError("dims, rank and batch size must be positive")
+        param_layout(self.variant, 1, 1, self.rank, self.dim_entity, self.dim_relation,
+                     self.dim_time, self.encoder, num_timestamps=1)
+        if self.batch_size < 1:
+            raise ConfigError("batch size must be positive")
         for name, value in (("lr", self.lr), ("decay", self.decay)):
             if not (math.isfinite(value) and value >= 0):
                 raise ConfigError(f"{name} must be finite and >= 0, got {value}")
@@ -510,15 +509,14 @@ _MANIFEST_FIELDS = {
     "time_sampling_rate": (int,),
 }
 _DIMS_FIELDS = {"entity": (int,), "relation": (int,), "time": (int, type(None))}
-_OPTIONAL_FIELDS = ("encoder", "num_timestamps", "time_sampling_rate")
+# The manifest fields a checkpoint may omit, and the value an omitted one takes.
+_OPTIONAL_FIELDS = {"encoder": None, "num_timestamps": None, "time_sampling_rate": 1}
 
 
 def _check_fields(table: dict, fields: dict, prefix: str = "") -> None:
     for key, types in fields.items():
         name = prefix + key
         if key not in table:
-            if name in _OPTIONAL_FIELDS:
-                continue
             raise CheckpointCorruptError(f"manifest missing field {name!r}")
         found = type(table[key])
         if found not in types:
@@ -528,9 +526,11 @@ def _check_fields(table: dict, fields: dict, prefix: str = "") -> None:
 
 
 def _check_manifest(manifest) -> None:
-    """Refuse a manifest with a missing field or a field of the wrong JSON type."""
+    """Fill in omitted optional fields; refuse a missing field or one of the wrong JSON type."""
     if type(manifest) is not dict:
         raise CheckpointCorruptError("manifest must be a JSON object")
+    for key, default in _OPTIONAL_FIELDS.items():
+        manifest.setdefault(key, default)
     _check_fields(manifest, _MANIFEST_FIELDS)
     _check_fields(manifest["dims"], _DIMS_FIELDS, "dims.")
     for name, shape in manifest["tensors"].items():
@@ -561,7 +561,7 @@ def load_checkpoint(directory, dataset: Dataset) -> tuple[ModelParams, dict]:
     if manifest["vocab_hashes"] != hashes:
         raise CheckpointVocabError(
             "checkpoint vocabulary hashes do not match this dataset")
-    rate = manifest.get("time_sampling_rate", 1)
+    rate = manifest["time_sampling_rate"]
     if rate < 1:
         raise CheckpointCorruptError(
             f"manifest field 'time_sampling_rate' must be >= 1, got {rate}")
@@ -570,7 +570,7 @@ def load_checkpoint(directory, dataset: Dataset) -> tuple[ModelParams, dict]:
     counts = {"num_entities": dataset.vocab.num_entities,
               "num_relations": dataset.vocab.num_relations, "num_timestamps": len(dates)}
     for name, count in counts.items():
-        if manifest.get(name) not in (None, count):
+        if manifest[name] not in (None, count):
             raise CheckpointCorruptError(
                 f"manifest field {name!r} is {manifest[name]}, but the dataset "
                 f"(at time sampling rate {rate}) gives {count}")
@@ -579,7 +579,7 @@ def load_checkpoint(directory, dataset: Dataset) -> tuple[ModelParams, dict]:
     layout = param_layout(
         manifest["variant"], counts["num_entities"], counts["num_relations"],
         manifest["rank"], dims["entity"], dims["relation"], dims["time"],
-        manifest.get("encoder"), counts["num_timestamps"])
+        manifest["encoder"], counts["num_timestamps"])
     recorded = {name: tuple(shape) for name, shape in manifest["tensors"].items()}
     if recorded != layout:
         raise CheckpointShapeError(
@@ -590,30 +590,33 @@ def load_checkpoint(directory, dataset: Dataset) -> tuple[ModelParams, dict]:
 
     params = ModelParams.from_tensors(Variant.from_string(manifest["variant"]),
                                       manifest["rank"], tensors,
-                                      manifest.get("encoder"), dates)
+                                      manifest["encoder"], dates)
     return params, manifest
 
 
 def _read_tensor(path: Path, name: str, shape: tuple) -> np.ndarray:
     """The tensor in ``path``, read straight into its final array.
 
-    The file's size is checked before the read, so the tensor is held once:
-    no bytes object of the file beside it.
+    The file's size is checked before the array is allocated, so a shape
+    the file does not hold allocates nothing, and the tensor is held once:
+    the file is read unbuffered, with no bytes object or buffer beside it.
     """
-    tensor = np.empty(shape, dtype="<f8")
+    nbytes = math.prod(shape) * 8
     try:
-        with open(path, "rb") as fh:
+        with open(path, "rb", buffering=0) as fh:
             size = os.fstat(fh.fileno()).st_size
-            if size != tensor.nbytes:
+            if size != nbytes:
                 raise CheckpointShapeError(
-                    f"{path.name}: expected {tensor.nbytes} bytes for shape {shape}, "
-                    f"got {size}")
-            read = fh.readinto(tensor.reshape(-1).view(np.uint8))
+                    f"{path.name}: expected {nbytes} bytes for shape {shape}, got {size}")
+            tensor = np.empty(shape, dtype="<f8")
+            view, read = tensor.reshape(-1).view(np.uint8), 0
+            while read < nbytes and (n := fh.readinto(view[read:])):  # a read may stop short
+                read += n
     except OSError as exc:
         raise CheckpointCorruptError(f"cannot read {path}: {exc}") from None
-    if read != tensor.nbytes:  # the file shrank after its size was read
+    if read != nbytes:  # the file shrank after its size was read
         raise CheckpointShapeError(
-            f"{path.name}: expected {tensor.nbytes} bytes for shape {shape}, got {read}")
+            f"{path.name}: expected {nbytes} bytes for shape {shape}, got {read}")
     # min and max carry any NaN or inf, with no tensor-sized temporary
     if tensor.size and not (np.isfinite(tensor.min()) and np.isfinite(tensor.max())):
         raise CheckpointCorruptError(f"{path.name}: tensor {name!r} holds non-finite values")

@@ -1,5 +1,6 @@
 """End-to-end runs of every subcommand via main()."""
 
+import argparse
 import csv
 import json
 from pathlib import Path
@@ -9,6 +10,7 @@ import pytest
 from timekge import cli, errors
 from timekge.cli import main
 from timekge.datasets import synthetic_dataset_dir
+from timekge.scoring import param_layout
 
 SYNTH = str(synthetic_dataset_dir())
 
@@ -44,6 +46,50 @@ class TestTrain:
         code = main(["train", "--dataset", str(tmp_path / "nope"),
                      "--out", str(tmp_path / "o"), *FAST_TRAIN])
         assert code == 2
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--variant", "ftp"], "ftp requires rank 1, got 32"),
+        (["--variant", "t", "--dim-relation", "8", "--dim-time", "4"],
+         "modulation needs dim_time == dim_relation, got 4 != 8"),
+    ])
+    def test_model_rule_refused_before_the_dataset_is_read(self, tmp_path, capsys, flags,
+                                                           message):
+        out = tmp_path / "o"
+        code = main(["train", "--dataset", str(tmp_path / "nope"), "--out", str(out), *flags])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    def test_flags_mirror_run_config_fields(self):
+        sub = next(a for a in cli.build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        flags = {(tuple(a.option_strings), a.dest, a.type,
+                  None if a.choices is None else tuple(a.choices), a.default)
+                 for a in sub.choices["train"]._actions if a.dest != "help"}
+        assert flags == {
+            (("--config",), "config", None, None, None),
+            (("--dataset",), "dataset", None, None, None),
+            (("--out",), "out", None, None, None),
+            (("--variant",), "variant", None, ("lowfer", "t", "tnt", "cfb", "ftp"), None),
+            (("--encoder",), "encoder", None, ("ste", "cte"), None),
+            (("--dim-entity",), "dim_entity", int, None, None),
+            (("--dim-relation",), "dim_relation", int, None, None),
+            (("--dim-time",), "dim_time", int, None, None),
+            (("--rank",), "rank", int, None, None),
+            (("--lr",), "lr", float, None, None),
+            (("--decay",), "decay", float, None, None),
+            (("--batch-size",), "batch_size", int, None, None),
+            (("--label-smoothing",), "label_smoothing", float, None, None),
+            (("--dropout-input",), "dropout_input", float, None, None),
+            (("--dropout-hidden",), "dropout_hidden", float, None, None),
+            (("--epochs",), "epochs", int, None, None),
+            (("--seed",), "seed", int, None, None),
+            (("--time-rate",), "time_sampling_rate", int, None, None),
+            (("--eval-interval",), "eval_interval", int, None, None),
+            (("--checkpoint-policy",), "checkpoint_policy", None, ("best", "every", "last"),
+             None),
+            (("--checkpoint-every",), "checkpoint_every", int, None, None),
+        }
 
     def test_bad_variant_in_config_exits_1(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -310,6 +356,36 @@ class TestEvaluate:
         assert main(["evaluate", "--checkpoint", str(ckpt), "--dataset", SYNTH]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and repr(field) in err and "Traceback" not in err
+
+    def test_manifest_without_optional_fields_loads(self, tmp_path, capsys):
+        # only a lowfer checkpoint can do without an encoder
+        code, out = run_train(tmp_path, "--variant", "lowfer")
+        path = out / "checkpoint-best" / "manifest.json"
+        capsys.readouterr()
+        assert main(["evaluate", "--checkpoint", str(path.parent), "--dataset", SYNTH]) == 0
+        full = capsys.readouterr().out
+        manifest = json.loads(path.read_text())
+        for field in ("encoder", "num_timestamps", "time_sampling_rate"):
+            del manifest[field]
+        path.write_text(json.dumps(manifest))
+        assert main(["evaluate", "--checkpoint", str(path.parent), "--dataset", SYNTH]) == 0
+        assert capsys.readouterr().out == full
+
+    def test_oversized_manifest_exits_1(self, tmp_path, capsys):
+        code, out = run_train(tmp_path)
+        path = out / "checkpoint-best" / "manifest.json"
+        manifest = json.loads(path.read_text())
+        manifest["dims"]["entity"] = 10 ** 9
+        layout = param_layout(manifest["variant"], manifest["num_entities"],
+                              manifest["num_relations"], manifest["rank"], 10 ** 9,
+                              manifest["dims"]["relation"], manifest["dims"]["time"],
+                              manifest["encoder"], manifest["num_timestamps"])
+        manifest["tensors"] = {name: list(shape) for name, shape in layout.items()}
+        path.write_text(json.dumps(manifest))
+        capsys.readouterr()
+        assert main(["evaluate", "--checkpoint", str(path.parent), "--dataset", SYNTH]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: entity.bin: expected") and err.count("\n") == 1
 
     def test_non_finite_logits_exit_3(self, tmp_path, capsys):
         code, out = run_train(tmp_path)

@@ -4,12 +4,14 @@ numpy reports its array allocations to ``tracemalloc``, so traced peaks
 are deterministic byte counts: no wall clock and no RSS is read.
 """
 
+import json
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from timekge import datasets, evaluation, scoring, training
+from timekge.errors import CheckpointShapeError
 from timekge.kernels import _CHUNK
 
 E, R, T, D, K, B = 300, 8, 12, 16, 64, 500
@@ -196,3 +198,26 @@ def test_checkpoint_load_holds_each_tensor_once(tmp_path):
     loaded = []
     peak = traced_peak(lambda: loaded.append(training.load_checkpoint(path, dataset)))
     assert size > 8 << 20 and peak < size + (1 << 20)
+
+
+def test_oversized_manifest_refused_before_allocating(tmp_path):
+    # the manifest claims about 100 MB for the entity table; its file holds 2.5 KB
+    dataset = datasets.Dataset.from_dir(datasets.synthetic_dataset_dir())
+    vocab = dataset.vocab
+    params = scoring.init_params("lowfer", vocab.num_entities, vocab.num_relations, 1, 8,
+                                 rng=np.random.default_rng(0))
+    path = tmp_path / "checkpoint"
+    training.save_checkpoint(path, params, vocab_hashes=vocab.hashes(), epoch=0, seed=0)
+    manifest = json.loads((path / "manifest.json").read_text())
+    dim = (100 << 20) // (8 * vocab.num_entities)
+    manifest["dims"] = {"entity": dim, "relation": 8, "time": None}
+    layout = scoring.param_layout("lowfer", vocab.num_entities, vocab.num_relations, 1, dim,
+                                  8, encoder=None)
+    manifest["tensors"] = {name: list(shape) for name, shape in layout.items()}
+    (path / "manifest.json").write_text(json.dumps(manifest))
+
+    def load():
+        with pytest.raises(CheckpointShapeError, match="entity.bin"):
+            training.load_checkpoint(path, dataset)
+
+    assert traced_peak(load) < 1 << 20

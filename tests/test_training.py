@@ -300,6 +300,34 @@ class TestAdam:
             adam_step(theta, {"w": np.zeros(4)}, state, lr=0.1)
 
 
+class TestTrainConfig:
+    # every config TrainConfig.validate refused before it deferred its model
+    # rules to param_layout: each is still refused
+    @pytest.mark.parametrize("changes", [
+        {"rank": "32"}, {"epochs": 2.5}, {"dim_relation": True}, {"lr": None},
+        {"variant": 3}, {"variant": "noexist"}, {"encoder": "xte"},
+        {"variant": "lowfer", "encoder": "xte"}, {"encoder": None},
+        {"dim_entity": 0}, {"dim_relation": 0}, {"dim_time": 0}, {"rank": 0},
+        {"rank": -3}, {"batch_size": 0}, {"lr": -0.01}, {"lr": math.nan},
+        {"lr": math.inf}, {"decay": -0.5}, {"decay": math.nan}, {"epochs": -1},
+        {"lr": 1e-300, "decay": 1e200, "epochs": 3}, {"label_smoothing": 1.0},
+        {"label_smoothing": -0.1}, {"dropout_input": 1.0}, {"dropout_hidden": -0.1},
+        {"time_sampling_rate": 0},
+    ], ids=repr)
+    def test_parent_refusals_still_refused(self, changes):
+        with pytest.raises(ConfigError):
+            TrainConfig(**changes).validate()
+
+    @pytest.mark.parametrize("changes, message", [
+        ({"variant": "ftp"}, "ftp requires rank 1"),
+        ({"variant": "t", "dim_relation": 8, "dim_time": 4}, "dim_time == dim_relation"),
+        ({"variant": "tnt", "dim_entity": 8, "dim_time": 4}, "dim_time == dim_relation"),
+    ])
+    def test_model_rules_need_no_data(self, changes, message):
+        with pytest.raises(ConfigError, match=message):
+            TrainConfig(**changes).validate()
+
+
 class TestDecay:
     def test_paper_schedule_values(self):
         assert decay_lr(0.01, 0.99, 0) == pytest.approx(0.01)
