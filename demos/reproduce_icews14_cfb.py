@@ -5,10 +5,12 @@ Trains at the published operating point: embedding dimension 300,
 rank 32, Adam at lr 0.01 with 0.99 per-epoch decay, batch size 1000,
 label smoothing 0.01, dropout 0.1/0.2, simple time encoding, 200 epochs.
 A successful full run is expected to land filtered test MRR in the
-vicinity of 0.62 (+/- 0.03). It takes about 68 hours on 2 CPU cores
-(a measured 8.4 s per batch of 1000 keys x 146 batches x 200 epochs, on a
-2-vCPU Xeon with OpenBLAS; peak RSS about 4.0 GB), so it is NOT part of
-the test suite.
+vicinity of 0.62 (+/- 0.03). It takes about 56 hours on 2 CPU cores
+(measured on perfbench's seed-0 ICEWS14-shaped data, 140 batches of 1000
+keys per epoch: 7.2 s wall and 13.0-13.3 s CPU per step, 200 epochs; on a
+2-vCPU Intel Xeon with OpenBLAS 0.3.31 on 2 threads, numpy 2.4, Python
+3.11; peak RSS 3.5 GB, 0.9 GB after set-up), so it is NOT part of the test
+suite.
 
 Place the dataset at data/icews14 (tab-separated train/valid/test files
 of ``subject  predicate  object  YYYY-MM-DD`` lines), or point

@@ -248,7 +248,9 @@ def init_params(
     tensors = {}
     for name, shape in layout.items():
         if name == "chain_proj":
-            tensors[name] = np.eye(shape[0]) + rng.normal(0.0, INIT_CHAIN_NOISE, size=shape)
+            tensors[name] = rng.normal(0.0, INIT_CHAIN_NOISE, size=shape)
+            # identity plus noise, added in place: 1.0 + n rounds as in eye + n
+            tensors[name].reshape(-1)[::shape[0] + 1] += 1.0
         elif name.endswith("_proj"):
             tensors[name] = _xavier(rng, *shape)
         else:
@@ -303,14 +305,30 @@ def _product_pool(x: np.ndarray, index: np.ndarray, y: np.ndarray, keep: np.ndar
     return g
 
 
-def _multiply_rows(x: np.ndarray, table: np.ndarray, index: np.ndarray) -> np.ndarray:
-    """``x *= table[index]`` in place, gathering a cache-sized row block at a time."""
-    n, width = x.shape
+def _times_dh(out: np.ndarray, dg: np.ndarray, keep: np.ndarray | None, rate: float,
+              rank: int, table: np.ndarray | None = None,
+              index: np.ndarray | None = None) -> np.ndarray:
+    """``out *= dh`` in place, where ``dh`` is ``np.repeat(dg, rank, axis=1)``
+    with the input keep-mask applied; given ``table``, ``out`` first takes
+    ``table[index]``, so that it ends as ``table[index] * dh``.
+
+    ``dh`` is formed a cache-sized row block at a time, broadcast from
+    ``dg`` and masked, so it never exists whole and costs no B x W array
+    however often backward needs it.
+    """
+    n, width = out.shape
     rows = max(1, _CHUNK // width)
     scratch = np.empty(min(n, rows) * width)
     for start in range(0, n, rows):
-        x[start:start + rows] *= take_rows(table, index[start:start + rows], scratch)
-    return x
+        block = out[start:start + rows]
+        dh = scratch[:block.size].reshape(block.shape)
+        np.copyto(dh.reshape(block.shape[0], -1, rank), dg[start:start + rows, :, None])
+        if keep is not None:
+            _apply_keep(dh, keep[start:start + rows], rate)
+        if table is not None:
+            take_rows(table, index[start:start + rows], block.reshape(-1))
+        block *= dh
+    return out
 
 
 def score_all(fused, entity_table) -> np.ndarray:
@@ -420,11 +438,12 @@ class Model:
         ``inputs`` holds the fields of one batch's :class:`FusedBatch` by
         name, plus ``dlogits``, which must match the batch. Backward owns
         them: it empties the dict and drops each array after its last read,
-        writing ``da`` over ``b`` (lowfer/t/tnt) or ``w`` (cfb/ftp) and, for
-        cfb/ftp, ``db`` over ``c``. A caller that reads the batch afterwards
-        passes copies of those three. Entities collect two contributions:
-        as subjects (scattered per row) and as scoring candidates (dense).
-        Embedding tables a batch only partly touches get zero rows.
+        writing ``da`` and then ``dy`` over ``b`` (lowfer/t/tnt) or ``w``
+        (cfb/ftp) and, for cfb/ftp, ``db`` over ``c``. A caller that reads
+        the batch afterwards passes copies of those three. Entities collect
+        two contributions: as subjects (scattered per row) and as scoring
+        candidates (dense). Embedding tables a batch only partly touches get
+        zero rows.
         Projection gradients come straight from their matmul, so an exact
         zero there may be ``-0.0``.
         """
@@ -445,31 +464,27 @@ class Model:
         dg = dlogits @ p.entity
         del dlogits, g
 
-        # dg and dh are updated in place; an input read once is popped where
-        # it is read, so it goes when that statement ends
+        # dg is updated in place; an input read once is popped where it is
+        # read, so it goes when that statement ends
         keep = take("keep_hidden")
         if keep is not None:
             _apply_keep(dg, keep, take("dropout_hidden"))
-        dh = np.repeat(dg, p.rank, axis=1)
-        del dg
-        keep = take("keep_input")
-        if keep is not None:
-            _apply_keep(dh, keep, take("dropout_input"))
-        del keep
+        keep, rate = take("keep_input"), take("dropout_input")
 
-        # g pools a[a_index] * y, where y is w for cfb/ftp and b otherwise; da
-        # goes over y (ftp's w is its inner, which nothing reads again)
+        # g pools a[a_index] * y, where y is w for cfb/ftp and b otherwise;
+        # with dh = d(a[a_index] * y), da = y * dh goes over y (ftp's w is its
+        # inner, which nothing reads again) and, once da is read, dy = dh *
+        # a[a_index] over da; _times_dh forms dh twice rather than hold it
         chained = p.variant in (Variant.CFB, Variant.FTP)
         y = take("w") if chained else take("b")
         if p.variant is Variant.FTP:
             del inputs["inner"]
-        da = np.multiply(dh, y, out=y)
+        da = _times_dh(y, dg, keep, rate, p.rank)
         del y
-        dy = _multiply_rows(dh, take("a_unique"), take("a_index"))
-        del dh
         grads["subject_proj"] = take("subj").T @ da
         dsubj = da @ p.subject_proj.T
-        del da
+        dy = _times_dh(da, dg, keep, rate, p.rank, take("a_unique"), take("a_index"))
+        del da, dg, keep
 
         # for cfb/ftp, dy becomes d(inner), inner = b * c; db goes over c
         dtime = None

@@ -51,46 +51,57 @@ CHECKPOINT_POLICIES = ("best", "every", "last")
 # loss pieces
 # ---------------------------------------------------------------------------
 
-def _target_matrix(rows: np.ndarray, objects: np.ndarray, num_rows: int,
-                   num_entities: int, smoothing: float) -> np.ndarray:
-    """Label-smoothed targets: row ``rows[j]`` marks object ``objects[j]``."""
+def bce_loss(logits: np.ndarray, rows: np.ndarray, objects: np.ndarray,
+             smoothing: float) -> tuple[float, np.ndarray]:
+    """Mean binary cross-entropy over candidates against label-smoothed
+    targets, in overflow-safe form.
+
+    Accepts one logits vector or a batch of them over ``E`` candidates; the
+    loss averages over every element. Every target is ``smoothing / E``,
+    and row ``rows[j]`` (0 for a vector) marks object ``objects[j]`` with
+    ``1 - smoothing`` more, as :meth:`TargetIndex.lookup` returns them. The
+    targets are never formed whole: each chunk of logits fills its own.
+    Returns the loss and its gradient w.r.t. the logits, written over
+    ``logits``: the returned array is ``logits`` itself when that is a
+    writeable C-contiguous float64 array, and a converted copy otherwise.
+    Each chunk is overwritten once its loss terms are summed and found
+    finite, so a raised :class:`NumericError` leaves the chunks before the
+    bad one overwritten.
+    """
     if not 0.0 <= smoothing < 1.0:
         raise ConfigError(f"label smoothing must be in [0, 1), got {smoothing}")
-    y = np.full((num_rows, num_entities), smoothing / num_entities)
-    y.reshape(-1)[rows * num_entities + objects] += 1.0 - smoothing
-    return y
-
-
-def bce_loss(logits: np.ndarray, targets: np.ndarray) -> tuple[float, np.ndarray]:
-    """Mean binary cross-entropy over candidates, in overflow-safe form.
-
-    Accepts one logits vector or a batch of them; the loss averages over
-    every element. Returns the loss and its gradient w.r.t. the logits,
-    written over ``logits``: the returned array is ``logits`` itself when
-    that is a writeable C-contiguous float64 array, and a converted copy
-    otherwise. Each chunk is overwritten once its loss terms are summed and
-    found finite, so a raised :class:`NumericError` leaves the chunks before
-    the bad one overwritten.
-    """
     x = np.require(logits, dtype=np.float64, requirements=["C", "W"])
-    y = np.asarray(targets, dtype=np.float64)
-    if x.shape != y.shape:
-        raise ConfigError(f"logits shape {x.shape} != targets shape {y.shape}")
+    if x.ndim not in (1, 2):
+        raise ConfigError(f"bce_loss: logits must be a vector or a batch, got shape {x.shape}")
     if x.size == 0:
         raise ConfigError("bce_loss: no logits")
+    num_rows, num_entities = x.size // x.shape[-1], x.shape[-1]
+    rows, objects = np.asarray(rows, dtype=np.int64), np.asarray(objects, dtype=np.int64)
+    if rows.shape != objects.shape or rows.ndim != 1:
+        raise ConfigError(f"bce_loss: rows {rows.shape} and objects {objects.shape} "
+                          "must be vectors of one length")
+    if rows.size and not (0 <= rows.min() <= rows.max() < num_rows
+                          and 0 <= objects.min() <= objects.max() < num_entities):
+        raise ConfigError(f"bce_loss: a mark lies outside the logits' shape {x.shape}")
+    # the marks of chunk i are marks[bounds[i]:bounds[i + 1]]
+    marks = np.sort(rows * num_entities + objects)
+    bounds = np.searchsorted(marks, np.arange(0, x.size + _CHUNK, _CHUNK))
+    base, mark = smoothing / num_entities, 1.0 - smoothing
     # -[y log s(x) + (1-y) log(1-s(x))] == softplus(x) - y*x, where
     # softplus(x) = max(x, 0) + log1p(z) and s(x) = where(x >= 0, 1, z) / (1 + z)
     # share one z = exp(-|x|); the gradient goes over the chunk's logits
     # after their last read
-    flat_x, flat_y = x.reshape(-1), y.reshape(-1)
+    flat_x = x.reshape(-1)
     width = min(_CHUNK, x.size)
-    exps, terms, scratch = np.empty(width), np.empty(width), np.empty(width)
+    exps, terms, scratch, targets = (np.empty(width) for _ in range(4))
     nonneg = np.empty(width, dtype=bool)
     sums = []
     with np.errstate(invalid="ignore", over="ignore"):
-        for start in range(0, x.size, _CHUNK):
-            xs, ys = flat_x[start:start + _CHUNK], flat_y[start:start + _CHUNK]
-            z, t, sc, pos = exps[:xs.size], terms[:xs.size], scratch[:xs.size], nonneg[:xs.size]
+        for i, start in enumerate(range(0, x.size, _CHUNK)):
+            xs = flat_x[start:start + _CHUNK]
+            z, t, sc, ys, pos = (a[:xs.size] for a in (exps, terms, scratch, targets, nonneg))
+            ys.fill(base)
+            ys[marks[bounds[i]:bounds[i + 1]] - start] += mark
             np.abs(xs, out=z)
             np.negative(z, out=z)
             np.exp(z, out=z)
@@ -127,8 +138,10 @@ class AdamState:
 
     @classmethod
     def for_params(cls, tensors: dict[str, np.ndarray]) -> "AdamState":
-        return cls(m={k: np.zeros_like(t) for k, t in tensors.items()},
-                   v={k: np.zeros_like(t) for k, t in tensors.items()})
+        # np.zeros maps pages that the OS zeroes on first touch, where
+        # zeros_like writes every page at once
+        return cls(m={k: np.zeros(t.shape) for k, t in tensors.items()},
+                   v={k: np.zeros(t.shape) for k, t in tensors.items()})
 
 
 def adam_step(tensors: dict[str, np.ndarray], grads: dict[str, np.ndarray],
@@ -289,22 +302,21 @@ def _train_step(model: Model, tensors: dict[str, np.ndarray], batch: np.ndarray,
     """One 1-N step on a batch of keys; returns its mean loss.
 
     The step owns each batch array only until it hands it on: ``bce_loss``
-    writes the logit gradient over the logits, the targets are released
-    before the backward pass, and the cache's fields and the gradient go to
-    ``Model.backward`` in one dict that it empties, keeping no reference
-    here, so backward frees each array after its last read. Every array of
-    the batch is gone when the step returns, before the next batch's
-    forward.
+    builds the targets a chunk at a time from the batch's marks and writes
+    the logit gradient over the logits, and the cache's fields and the
+    gradient go to ``Model.backward`` in one dict that it empties, keeping
+    no reference here, so backward frees each array after its last read.
+    Every array of the batch is gone when the step returns, before the
+    next batch's forward.
     """
-    y = _target_matrix(*targets.lookup(batch), batch.shape[0], model.params.num_entities,
-                       config.label_smoothing)
+    rows, objects = targets.lookup(batch)
     logits, cache = model.forward(
         batch[:, 0], batch[:, 1], batch[:, 2], training=True,
         dropout_input=config.dropout_input,
         dropout_hidden=config.dropout_hidden, rng=rng,
     )
-    loss, dlogits = bce_loss(logits, y)
-    del logits, y
+    loss, dlogits = bce_loss(logits, rows, objects, config.label_smoothing)
+    del logits, rows, objects
     inputs = {**vars(cache), "dlogits": dlogits}
     del cache, dlogits
     adam_step(tensors, model.backward(inputs), adam, lr)
@@ -509,7 +521,8 @@ _MANIFEST_FIELDS = {
     "time_sampling_rate": (int,),
 }
 _DIMS_FIELDS = {"entity": (int,), "relation": (int,), "time": (int, type(None))}
-# The manifest fields a checkpoint may omit, and the value an omitted one takes.
+# The manifest fields a checkpoint may omit, and the value an omitted one
+# takes; a temporal variant cannot omit ``encoder``.
 _OPTIONAL_FIELDS = {"encoder": None, "num_timestamps": None, "time_sampling_rate": 1}
 
 
@@ -526,13 +539,18 @@ def _check_fields(table: dict, fields: dict, prefix: str = "") -> None:
 
 
 def _check_manifest(manifest) -> None:
-    """Fill in omitted optional fields; refuse a missing field or one of the wrong JSON type."""
+    """Fill in omitted optional fields; refuse a missing field, one of the wrong
+    JSON type, or a temporal variant without an encoder."""
     if type(manifest) is not dict:
         raise CheckpointCorruptError("manifest must be a JSON object")
     for key, default in _OPTIONAL_FIELDS.items():
         manifest.setdefault(key, default)
     _check_fields(manifest, _MANIFEST_FIELDS)
     _check_fields(manifest["dims"], _DIMS_FIELDS, "dims.")
+    if manifest["encoder"] is None and Variant.from_string(manifest["variant"]).uses_time:
+        raise CheckpointCorruptError(
+            f"manifest field 'encoder' is missing or null, which variant "
+            f"{manifest['variant']!r} needs")
     for name, shape in manifest["tensors"].items():
         if type(shape) is not list or any(type(n) is not int for n in shape):
             raise CheckpointCorruptError(

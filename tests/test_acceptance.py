@@ -83,14 +83,15 @@ def test_criterion_1_gradient_correctness():
         s = rng.integers(0, 5, size=4)
         p = rng.integers(0, 6, size=4)
         t = rng.integers(0, 4, size=4)
-        targets = rng.random((4, 5))
+        # label-smoothed targets as training builds them: marks and a smoothing
+        rows, objects = np.nonzero(rng.random((4, 5)) < 0.3)
 
         def loss():
             logits, _ = model.forward(s, p, t)
-            return bce_loss(logits, targets)[0]
+            return bce_loss(logits, rows, objects, 0.1)[0]
 
         logits, cache = model.forward(s, p, t)
-        _, dlogits = bce_loss(logits, targets)
+        _, dlogits = bce_loss(logits, rows, objects, 0.1)
         grads = model.backward({**vars(cache), "dlogits": dlogits})
         rep = finite_diff_check(loss, params.tensors(), grads,
                                 epsilon=1e-5, max_coords=256, seed=17)

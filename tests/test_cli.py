@@ -371,6 +371,20 @@ class TestEvaluate:
         assert main(["evaluate", "--checkpoint", str(path.parent), "--dataset", SYNTH]) == 0
         assert capsys.readouterr().out == full
 
+    def test_temporal_manifest_without_encoder_exits_1(self, tmp_path, capsys):
+        # an encoder can be omitted for lowfer only
+        code, out = run_train(tmp_path)
+        path = out / "checkpoint-best" / "manifest.json"
+        manifest = json.loads(path.read_text())
+        assert manifest["variant"] == "tnt"
+        del manifest["encoder"]
+        path.write_text(json.dumps(manifest))
+        capsys.readouterr()
+        assert main(["evaluate", "--checkpoint", str(path.parent), "--dataset", SYNTH]) == 1
+        err = capsys.readouterr().err
+        assert err == ("error: manifest field 'encoder' is missing or null, which variant "
+                       "'tnt' needs\n")
+
     def test_oversized_manifest_exits_1(self, tmp_path, capsys):
         code, out = run_train(tmp_path)
         path = out / "checkpoint-best" / "manifest.json"

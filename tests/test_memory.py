@@ -94,32 +94,35 @@ def step_peaks(variant) -> list[int]:
 def step_bound(cached: int, backward_wide: int) -> int:
     """Bytes live at a training step's peak, the larger of two live sets.
 
-    In ``bce_loss``: the targets and the logits (the gradient goes over
-    them), ``cached`` B x W arrays of the cache, its bool keep-masks, five
-    B x D row arrays (subj, rel, rel_in, time, g) with four to spare, and
-    the loss's three chunk buffers. In backward, which drops dlogits after
-    dg, each keep-mask once applied and each cached array after its last
-    read, and writes da over b or w: ``backward_wide`` B x W arrays, the
-    input keep-mask, the same row arrays, and the gradients begun by then
-    (entity's and the zero-filled relation tables).
+    In ``bce_loss``: the logits (the gradient goes over them; the targets
+    are built a chunk at a time and never whole), ``cached`` B x W arrays
+    of the cache, its bool keep-masks, five B x D row arrays (subj, rel,
+    rel_in, time, g) with four to spare, and the loss's four chunk buffers.
+    In backward, which drops dlogits after dg, the hidden keep-mask once
+    applied and each cached array after its last read, and forms dh a row
+    block at a time: ``backward_wide`` B x W arrays, the input keep-mask,
+    the same row arrays, and the gradients begun by then (entity's and the
+    zero-filled relation tables).
 
-    At this shape (W > 3E) backward sets the peak: dlogits or the cache
-    held past the hand-off would add B x E values or more, and a fresh da
-    B x W values.
+    A dense target matrix adds B x E values to the loss's set, and dlogits
+    or the cache held past the hand-off B x E values or more; a dh formed
+    whole, or a fresh da, adds B x W values to backward's.
     """
-    loss = 8 * (2 * B * E + cached * B * W + 9 * B * D + 3 * _CHUNK) + B * W + B * D
+    loss = 8 * (B * E + cached * B * W + 9 * B * D + 4 * _CHUNK) + B * W + B * D
     backward = 8 * (backward_wide * B * W + 9 * B * D + (E + 4 * R) * D) + B * W
     return max(loss, backward)
 
 
 def test_training_peak_holds_only_what_backward_reads():
-    # tnt caches a and b; its backward peaks holding dh, da (over b) and a
-    assert max(step_peaks("tnt")) < step_bound(2, 3)
+    # tnt caches a and b; its backward holds two B x W arrays at most: da
+    # (over b) and a, then dy (over da) and a
+    assert max(step_peaks("tnt")) < step_bound(2, 2)
 
 
 def test_cfb_step_peak_holds_only_what_backward_reads():
-    # cfb caches a, b, c, inner and w; its backward peaks holding dh, da
-    # (over w), a, b, c and inner
+    # cfb caches a, b, c, inner and w; its backward holds da (over w), a, b,
+    # c and inner, and then at the chain gradient dy, b, c, inner and the
+    # W x W gradient (two B x W at this shape)
     assert max(step_peaks("cfb")) < step_bound(5, 6)
 
 

@@ -44,6 +44,13 @@ def random_batch(rng, n=4):
             rng.integers(0, TINY["num_timestamps"], size=n))
 
 
+def random_targets(rng, n=4, smoothing=0.1):
+    """``(rows, objects, smoothing)`` for ``bce_loss``: each of the n x E
+    candidates of a batch is marked with probability 0.3."""
+    rows, objects = np.nonzero(rng.random((n, TINY["num_entities"])) < 0.3)
+    return rows, objects, smoothing
+
+
 def subject_patterns(rng, n):
     """Subjects for an n-row batch: all equal, mixed, and all distinct when
     there are enough entities."""
@@ -360,14 +367,14 @@ class TestBackward:
         model = tiny_model(variant, seed=seed)
         rng = np.random.default_rng(1000 + seed)
         s, pr, t = random_batch(rng)
-        targets = rng.random((4, TINY["num_entities"]))
+        targets = random_targets(rng)
 
         def loss():
             logits, _ = model.forward(s, pr, t)
-            return bce_loss(logits, targets)[0]
+            return bce_loss(logits, *targets)[0]
 
         logits, cache = model.forward(s, pr, t)
-        _, dlogits = bce_loss(logits, targets)
+        _, dlogits = bce_loss(logits, *targets)
         grads = run_backward(model, cache, dlogits)
         report = finite_diff_check(loss, model.params.tensors(), grads,
                                    epsilon=1e-5, max_coords=24, seed=seed)
@@ -378,14 +385,14 @@ class TestBackward:
         model = tiny_model(variant, encoder="cte", seed=3)
         rng = np.random.default_rng(30)
         s, pr, t = random_batch(rng)
-        targets = rng.random((4, TINY["num_entities"]))
+        targets = random_targets(rng)
 
         def loss():
             logits, _ = model.forward(s, pr, t)
-            return bce_loss(logits, targets)[0]
+            return bce_loss(logits, *targets)[0]
 
         logits, cache = model.forward(s, pr, t)
-        _, dlogits = bce_loss(logits, targets)
+        _, dlogits = bce_loss(logits, *targets)
         grads = run_backward(model, cache, dlogits)
         report = finite_diff_check(loss, model.params.tensors(), grads,
                                    epsilon=1e-5, max_coords=16, seed=31)
@@ -396,7 +403,7 @@ class TestBackward:
         model = tiny_model("cfb", seed=4)
         rng = np.random.default_rng(40)
         s, pr, t = random_batch(rng)
-        targets = rng.random((4, TINY["num_entities"]))
+        targets = random_targets(rng)
 
         def forward():
             return model.forward(s, pr, t, training=True, dropout_input=0.3,
@@ -404,10 +411,10 @@ class TestBackward:
 
         def loss():
             logits, _ = forward()
-            return bce_loss(logits, targets)[0]
+            return bce_loss(logits, *targets)[0]
 
         logits, cache = forward()
-        _, dlogits = bce_loss(logits, targets)
+        _, dlogits = bce_loss(logits, *targets)
         grads = run_backward(model, cache, dlogits)
         report = finite_diff_check(loss, model.params.tensors(), grads,
                                    epsilon=1e-5, max_coords=16, seed=41)

@@ -25,7 +25,6 @@ from timekge.training import (
     AdamState,
     TrainConfig,
     Trainer,
-    _target_matrix,
     adam_step,
     bce_loss,
     decay_lr,
@@ -51,10 +50,35 @@ def toy_dataset(facts, num_entities, num_relations, num_days,
     return Dataset(vocab=vocab, train=train, valid=valid, test=test)
 
 
+def dense_targets(rows, objects, num_rows, num_entities, smoothing):
+    """The label-smoothed target matrix that ``bce_loss`` never forms whole:
+    row ``rows[j]`` marks object ``objects[j]``."""
+    y = np.full((num_rows, num_entities), smoothing / num_entities)
+    y.reshape(-1)[np.asarray(rows) * num_entities + np.asarray(objects)] += 1.0 - smoothing
+    return y
+
+
+def dense_bce(x, y):
+    """The loss and gradient on dense targets, in ``bce_loss``'s operations:
+    elementwise terms, summed a ``_CHUNK`` at a time and then exactly."""
+    x, y = np.asarray(x, dtype=np.float64).reshape(-1), y.reshape(-1)
+    z = np.exp(-np.abs(x))
+    terms = np.maximum(x, 0.0) + np.log1p(z) - y * x
+    sums = [terms[start:start + _CHUNK].sum() for start in range(0, x.size, _CHUNK)]
+    grad = (np.where(x >= 0, 1.0, z) / (z + 1.0) - y) / x.size
+    return math.fsum(sums) / x.size, grad
+
+
+def random_marks(rng, shape, density=0.3):
+    """``(rows, objects)`` marking each element of a ``shape`` batch (or vector)
+    with probability ``density``."""
+    return np.nonzero(np.atleast_2d(rng.random(shape) < density))
+
+
 def smoothed_row(true_objects, num_entities, smoothing):
     """The target row of one key that marks ``true_objects``."""
     objects = np.asarray(true_objects)
-    return _target_matrix(np.zeros_like(objects), objects, 1, num_entities, smoothing)[0]
+    return dense_targets(np.zeros_like(objects), objects, 1, num_entities, smoothing)[0]
 
 
 class TestSmoothTargets:
@@ -72,38 +96,42 @@ class TestSmoothTargets:
         assert y.sum() == pytest.approx(0.95 * 3 + 0.05, abs=1e-12)
 
 
+NO_MARKS = (np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64))
+
+
 class TestBceLoss:
     def test_symmetric_point(self):
-        loss, _ = bce_loss(np.array([0.0]), np.array([0.5]))
+        # one candidate, unmarked: its target is the smoothing itself
+        loss, _ = bce_loss(np.array([0.0]), *NO_MARKS, 0.5)
         assert loss == pytest.approx(math.log(2.0), rel=1e-12)
 
     def test_saturated_logit_is_stable(self):
-        loss, grad = bce_loss(np.array([1000.0]), np.array([1.0]))
+        loss, grad = bce_loss(np.array([1000.0]), [0], [0], 0.0)
         assert loss == pytest.approx(0.0, abs=1e-12)
         assert np.isfinite(grad).all()
 
     def test_gradient_hand_value(self):
-        _, grad = bce_loss(np.array([0.0]), np.array([1.0]))
+        _, grad = bce_loss(np.array([0.0]), [0], [0], 0.0)
         assert grad[0] == pytest.approx(-0.5, abs=1e-12)
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(0)
         x = rng.standard_normal(12) * 3
-        y = rng.random(12)
-        _, grad = bce_loss(x.copy(), y)
+        marks = random_marks(rng, 12, density=0.5)
+        _, grad = bce_loss(x.copy(), *marks, 0.1)
         eps = 1e-6
         for i in range(12):
             bumped = x.copy()
             bumped[i] += eps
-            up, _ = bce_loss(bumped.copy(), y)
+            up, _ = bce_loss(bumped.copy(), *marks, 0.1)
             bumped[i] -= 2 * eps
-            down, _ = bce_loss(bumped, y)
+            down, _ = bce_loss(bumped, *marks, 0.1)
             numeric = (up - down) / (2 * eps)
             assert abs(numeric - grad[i]) / max(abs(grad[i]), 1e-8) < 1e-6
 
     def test_non_finite_logits_rejected(self):
         with pytest.raises(NumericError):
-            bce_loss(np.array([np.nan]), np.array([1.0]))
+            bce_loss(np.array([np.nan]), [0], [0], 0.0)
 
     @staticmethod
     def two_softplus_reference(x, y):
@@ -123,26 +151,58 @@ class TestBceLoss:
         np.random.default_rng(5).standard_normal((7, 10_001)) * 20,
     ])
     def test_matches_two_softplus_form(self, x):
-        y = np.random.default_rng(6).random(x.shape)
-        y.reshape(-1)[::3] = 1.0
-        loss, grad = bce_loss(x.copy(), y)
+        marks = random_marks(np.random.default_rng(6), x.shape)
+        y = dense_targets(*marks, x.size // x.shape[-1], x.shape[-1], 0.1).reshape(x.shape)
+        loss, grad = bce_loss(x.copy(), *marks, 0.1)
         ref_loss, ref_grad = self.two_softplus_reference(x, y)
         assert np.array_equal(grad, ref_grad)
         assert abs(loss - ref_loss) <= 1e-14 * abs(ref_loss)
 
+    @staticmethod
+    def edge_marks(shape):
+        """Marks on the first and last element and on both sides of every
+        ``_CHUNK`` edge, plus a sparse spread."""
+        size = int(np.prod(shape))
+        flat = {0, size - 1, *range(7, size, 997)}
+        for edge in range(_CHUNK, size, _CHUNK):
+            flat |= {edge - 2, edge - 1, edge, edge + 1}
+        rows, objects = np.divmod(np.array(sorted(flat)), shape[-1])
+        return rows, objects
+
+    @pytest.mark.parametrize("smoothing", [0.0, 0.1])
+    @pytest.mark.parametrize("shape, view", [
+        ((3 * _CHUNK + 5,), None),              # 1-D across three chunk edges
+        ((40, 2 * _CHUNK // 40 + 3), None),     # 2-D, rows straddling the edges
+        ((37, 11), None),                       # one chunk
+        ((300, 400), "T"),                      # non-contiguous logits
+        ((600, 400), "step"),
+    ])
+    def test_matches_dense_reference_bit_for_bit(self, shape, view, smoothing):
+        base = np.random.default_rng(12).standard_normal(shape) * 6
+        x = {None: base, "T": base.T, "step": base[::2]}[view]
+        rows, objects = self.edge_marks(x.shape)
+        y = dense_targets(rows, objects, x.size // x.shape[-1], x.shape[-1], smoothing)
+        # the marks' order does not matter
+        shuffle = np.random.default_rng(13).permutation(rows.size)
+        loss, grad = bce_loss(x.copy(), rows[shuffle], objects[shuffle], smoothing)
+        ref_loss, ref_grad = dense_bce(x, y)
+        assert loss == ref_loss
+        assert grad.shape == x.shape
+        assert np.array_equal(grad.reshape(-1), ref_grad)
+
     def test_non_contiguous_logits(self):
         x = np.random.default_rng(7).standard_normal((40, 30)).T
-        y = np.full(x.shape, 0.25)
-        loss, grad = bce_loss(x, y)
-        ref_loss, ref_grad = bce_loss(np.ascontiguousarray(x), y)
+        marks = random_marks(np.random.default_rng(8), x.shape)
+        loss, grad = bce_loss(x, *marks, 0.25)
+        ref_loss, ref_grad = bce_loss(np.ascontiguousarray(x), *marks, 0.25)
         assert loss == ref_loss
         assert np.array_equal(grad, ref_grad)
 
     def test_gradient_is_written_over_the_logits(self):
         x = np.random.default_rng(8).standard_normal((5, 9))
-        y = np.random.default_rng(9).random(x.shape)
-        ref_loss, ref_grad = bce_loss(x.copy(), y)
-        loss, grad = bce_loss(x, y)
+        marks = random_marks(np.random.default_rng(9), x.shape)
+        ref_loss, ref_grad = bce_loss(x.copy(), *marks, 0.1)
+        loss, grad = bce_loss(x, *marks, 0.1)
         assert grad is x and np.shares_memory(grad, x)
         assert loss == ref_loss
         assert np.array_equal(grad, ref_grad)
@@ -156,9 +216,9 @@ class TestBceLoss:
         base = np.random.default_rng(10).standard_normal((30, 40)) * 4
         x = view(base)
         before = x.copy()
-        y = np.random.default_rng(11).random(x.shape)
-        loss, grad = bce_loss(x, y)
-        ref_loss, ref_grad = bce_loss(np.ascontiguousarray(x, dtype=np.float64), y)
+        marks = random_marks(np.random.default_rng(11), x.shape)
+        loss, grad = bce_loss(x, *marks, 0.1)
+        ref_loss, ref_grad = bce_loss(np.ascontiguousarray(x, dtype=np.float64), *marks, 0.1)
         assert not np.shares_memory(grad, x)
         assert np.array_equal(x, before)
         assert loss == ref_loss
@@ -168,21 +228,34 @@ class TestBceLoss:
     def test_infinite_logits_rejected(self, bad):
         x = np.zeros(50_000)
         x[40_000] = bad
-        for y in (np.zeros_like(x), np.full_like(x, 0.5)):
+        # every target 0, then every target 1
+        for marks in (NO_MARKS, (np.zeros(x.size, dtype=np.int64), np.arange(x.size))):
             with pytest.raises(NumericError):
-                bce_loss(x.copy(), y)
+                bce_loss(x.copy(), *marks, 0.0)
 
     def test_empty_logits_rejected(self):
         with pytest.raises(ConfigError):
-            bce_loss(np.zeros((2, 0)), np.zeros((2, 0)))
+            bce_loss(np.zeros((2, 0)), *NO_MARKS, 0.0)
+
+    @pytest.mark.parametrize("smoothing", [-0.1, 1.0, float("nan")])
+    def test_smoothing_out_of_range_rejected(self, smoothing):
+        with pytest.raises(ConfigError, match="smoothing"):
+            bce_loss(np.zeros((2, 3)), *NO_MARKS, smoothing)
+
+    @pytest.mark.parametrize("rows, objects", [([2], [0]), ([0], [3]), ([-1], [0]),
+                                               ([0], [-1]), ([0, 1], [0])])
+    def test_marks_outside_the_logits_rejected(self, rows, objects):
+        with pytest.raises(ConfigError):
+            bce_loss(np.zeros((2, 3)), rows, objects, 0.0)
 
     def test_batch_loss_averages_rows(self):
         rng = np.random.default_rng(1)
         x = rng.standard_normal((3, 7))
-        y = rng.random((3, 7))
-        batch_loss, _ = bce_loss(x.copy(), y)
-        rows = [bce_loss(x[i], y[i])[0] for i in range(3)]
-        assert batch_loss == pytest.approx(np.mean(rows), rel=1e-12)
+        rows, objects = random_marks(rng, (3, 7))
+        batch_loss, _ = bce_loss(x.copy(), rows, objects, 0.1)
+        per_row = [bce_loss(x[i], np.zeros(np.sum(rows == i), dtype=np.int64),
+                            objects[rows == i], 0.1)[0] for i in range(3)]
+        assert batch_loss == pytest.approx(np.mean(per_row), rel=1e-12)
 
 
 def dropped(x, rate, rng):
@@ -383,18 +456,18 @@ class TestTrainingLoop:
             losses.append([r.loss for r in trainer.run()])
         assert losses[0] == losses[1]
 
-    @pytest.mark.parametrize("variant", ["tnt", "cfb"])
-    @pytest.mark.parametrize("encoder", ["ste", "cte"])
-    def test_step_matches_reference_pieces_across_chunk_edges(self, variant, encoder):
-        # the logits span several loss chunks and each B x W product several
-        # row blocks, which the seeded digests' 64 x 40 batches never reach
+    @staticmethod
+    def chunk_edge_run(variant, encoder):
+        """Keys, targets, config and a seeded model factory of a batch whose
+        logits span several loss chunks and whose B x W products span
+        several row blocks, which the seeded digests' 64 x 40 batches never
+        reach."""
         n, e, r, t, d, k = 200, 600, 5, 12, 32, 16
         assert n * e >= 3 * _CHUNK and n * k * d >= 3 * _CHUNK
         rng = np.random.default_rng(0)
         facts = np.stack([rng.integers(0, e, 3000), rng.integers(0, 2 * r, 3000),
                           rng.integers(0, e, 3000), rng.integers(0, t, 3000)], axis=1)
         targets = group_targets(facts)
-        keys = targets.key_array[:n]
         dates = [dt.date(2014, 1, 1) + dt.timedelta(days=i) for i in range(t)]
         cfg = TrainConfig(variant=variant, encoder=encoder, dim_entity=d, rank=k, batch_size=n)
 
@@ -402,14 +475,21 @@ class TestTrainingLoop:
             return Model(init_params(variant, e, r, k, d, encoder=encoder, num_timestamps=t,
                                      dates=dates, rng=np.random.default_rng(1)))
 
+        return targets.key_array[:n], targets, cfg, fresh_model
+
+    @pytest.mark.parametrize("variant", ["tnt", "cfb"])
+    @pytest.mark.parametrize("encoder", ["ste", "cte"])
+    def test_step_matches_reference_pieces_across_chunk_edges(self, variant, encoder):
+        keys, targets, cfg, fresh_model = self.chunk_edge_run(variant, encoder)
         trained = fresh_model()
         train_epoch(trained, keys, targets, cfg, AdamState.for_params(trained.params.tensors()),
                     np.random.default_rng(2), cfg.lr)
 
         model = fresh_model()
         step_rng = np.random.default_rng(2)
-        batch = keys[step_rng.permutation(n)]
-        y = _target_matrix(*targets.lookup(batch), n, e, cfg.label_smoothing)
+        batch = keys[step_rng.permutation(keys.shape[0])]
+        y = dense_targets(*targets.lookup(batch), batch.shape[0], model.params.num_entities,
+                          cfg.label_smoothing)
         logits, cache = model.forward(batch[:, 0], batch[:, 1], batch[:, 2], training=True,
                                       dropout_input=cfg.dropout_input,
                                       dropout_hidden=cfg.dropout_hidden, rng=step_rng)
@@ -419,6 +499,32 @@ class TestTrainingLoop:
         adam_step(tensors, grads, AdamState.for_params(tensors), cfg.lr)
         for name, tensor in trained.params.tensors().items():
             assert tensor.tobytes() == tensors[name].tobytes(), name
+
+    @pytest.mark.parametrize("variant, encoder", [("tnt", "ste"), ("cfb", "cte")])
+    def test_step_reads_no_scratch_before_writing_it(self, variant, encoder, monkeypatch):
+        # every array np.empty hands out starts as NaN (bool True, int -1), so
+        # a step that read a scratch element before writing it would change bits
+        keys, targets, cfg, fresh_model = self.chunk_edge_run(variant, encoder)
+
+        def step():
+            model = fresh_model()
+            adam = AdamState.for_params(model.params.tensors())
+            loss = train_epoch(model, keys, targets, cfg, adam, np.random.default_rng(2), cfg.lr)
+            arrays = [*model.params.tensors().values(), *adam.m.values(), *adam.v.values()]
+            return [float(loss).hex()] + [a.tobytes() for a in arrays]
+
+        clean = step()
+        empty, poisoned = np.empty, []
+
+        def poisoned_empty(*args, **kwargs):
+            out = empty(*args, **kwargs)
+            out.fill({"f": np.nan, "b": True}.get(out.dtype.kind, -1))
+            poisoned.append(out.size)
+            return out
+
+        monkeypatch.setattr(np, "empty", poisoned_empty)
+        assert step() == clean
+        assert max(poisoned) >= _CHUNK
 
     @pytest.mark.parametrize("variant", ["lowfer", "t", "tnt", "cfb", "ftp"])
     def test_loss_decreases_on_small_kg(self, variant):
@@ -454,9 +560,9 @@ class TestTrainingLoop:
         trainer = Trainer(ds, cfg)
         batches = []
 
-        def spy(logits, targets):
-            batches.append(targets.copy())
-            return bce_loss(logits, targets)
+        def spy(logits, rows, objects, smoothing):
+            batches.append(dense_targets(rows, objects, *logits.shape, smoothing))
+            return bce_loss(logits, rows, objects, smoothing)
 
         monkeypatch.setattr(training, "bce_loss", spy)
         order = np.random.default_rng(11).permutation(trainer.keys.shape[0])

@@ -23,6 +23,19 @@ hashed without ``seconds`` and ``config.json`` without ``out`` and
 Lines of the group ``data`` then digest, on the same dataset, the stdout
 of ``timekge stats`` and ``timekge encode-time --dataset``, and both CSV
 files of ``timekge heatmap --concentration`` at time rates 1 and 4.
+
+The groups ``scale-threads1`` and ``scale-threads2`` run at shapes where
+the batched paths cross their edges, which the shapes above never reach:
+on a seeded in-process dataset (600 entities, 5 relations, 12 days) they
+train tnt-ste and cfb-cte at d=32, k=16, batch 200 for 2 epochs of 3
+steps, so each batch's logits span 4 loss chunks and each B x (k*d)
+product 4 row blocks, and then rank 1,600 test queries, 4 ranking chunks,
+filtered and raw. They print each epoch's loss as a hex float and the
+SHA-256 of every parameter, Adam moment and metrics record. Each group runs
+in its own child process under ``OPENBLAS_NUM_THREADS`` 1 or 2, because a
+dgemm can round differently on another thread count; compare trees at
+equal counts only.
+
 Equal output for two trees means their seeded outputs are byte-identical.
 """
 
@@ -41,6 +54,8 @@ PAIRS = [("lowfer", "ste")] + [(variant, encoder) for variant in ("t", "tnt", "c
                                for encoder in ("ste", "cte")]
 POLICIES = [["best"], ["every", "--checkpoint-every", "2"], ["last"]]
 HEATMAP_RATES = (1, 4)
+SCALE_PAIRS = [("tnt", "ste"), ("cfb", "cte")]
+SCALE_THREADS = (1, 2)
 
 
 def _cli(argv: list[str]) -> bytes:
@@ -102,7 +117,54 @@ def digest_data(dataset: str, work: Path) -> list[tuple[str, bytes]]:
     return artifacts
 
 
+def scale_dataset():
+    """A seeded dataset of 600 entities whose 300 train facts give about 600
+    1-N keys (3 batches of 200) and whose 800 test facts give 1,600 queries."""
+    import datetime as dt
+
+    import numpy as np
+    from timekge import Dataset, Vocab
+
+    rng = np.random.default_rng(11)
+    entities, relations, days = 600, 5, 12
+
+    def facts(n):
+        return np.stack([rng.integers(0, entities, n), rng.integers(0, relations, n),
+                         rng.integers(0, entities, n), rng.integers(0, days, n)], axis=1)
+
+    vocab = Vocab(entities=[f"e{i}" for i in range(entities)],
+                  relations=[f"r{i}" for i in range(relations)],
+                  dates=[dt.date(2014, 1, 1) + dt.timedelta(days=i) for i in range(days)])
+    return Dataset(vocab=vocab, train=facts(300), valid=facts(100), test=facts(800))
+
+
+def digest_scale() -> list[tuple[str, bytes | str]]:
+    """Losses (hex floats) and the bytes of every tensor and metrics record
+    of the scale runs, as (name, value)."""
+    import numpy as np
+    from timekge import TrainConfig, Trainer
+
+    dataset = scale_dataset()
+    artifacts = []
+    for variant, encoder in SCALE_PAIRS:
+        pair = f"{variant}-{encoder}"
+        trainer = Trainer(dataset, TrainConfig(variant=variant, encoder=encoder, dim_entity=32,
+                                               rank=16, batch_size=200, epochs=2, seed=7))
+        for record in trainer.run():
+            artifacts.append((f"{pair}/loss-epoch-{record.epoch}", float(record.loss).hex()))
+        for group, tensors in (("param", trainer.model.params.tensors()),
+                               ("m", trainer.adam.m), ("v", trainer.adam.v)):
+            artifacts += [(f"{pair}/{group}/{name}", np.ascontiguousarray(t, "<f8").tobytes())
+                          for name, t in tensors.items()]
+        for mode in ("filtered", "raw"):
+            metrics = trainer.evaluate_split("test", mode=mode).to_dict()
+            artifacts.append((f"{pair}/evaluate-{mode}.json",
+                              json.dumps(metrics, sort_keys=True).encode("utf-8")))
+    return artifacts
+
+
 def digest() -> None:
+    import timekge
     from timekge import synthetic_dataset_dir
 
     dataset = str(synthetic_dataset_dir())
@@ -112,12 +174,29 @@ def digest() -> None:
                 print(f"{variant}-{encoder} {name} {hashlib.sha256(data).hexdigest()}")
         for name, data in digest_data(dataset, Path(work)):
             print(f"data {name} {hashlib.sha256(data).hexdigest()}")
+    sys.stdout.flush()
+    # each scale group in a child of its own, which imports the same timekge
+    src = str(Path(timekge.__file__).resolve().parent.parent)
+    for threads in SCALE_THREADS:
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = {**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": str(threads)}
+        subprocess.run([sys.executable, str(Path(__file__).resolve()), "--scale"],
+                       env=env, check=True)
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--src", help="source tree holding the timekge package to digest")
+    parser.add_argument("--scale", action="store_true",
+                        help="print only the scale group, at this process's BLAS thread count")
     args = parser.parse_args()
+    if args.scale:
+        group = f"scale-threads{os.environ.get('OPENBLAS_NUM_THREADS', '-default')}"
+        for name, value in digest_scale():
+            if isinstance(value, bytes):
+                value = hashlib.sha256(value).hexdigest()
+            print(f"{group} {name} {value}")
+        return 0
     if args.src is None:
         digest()
         return 0
