@@ -20,7 +20,15 @@ A chunk holds 512 queries. Its memory is the forward cache (two
 B x (k*d) float64 arrays), the B x E logits and one B x E bool buffer that
 the finiteness check and both comparisons share, so evaluation peaks at
 one chunk's worth whatever the split's size. Each query's rank depends
-only on its own row of logits, so the chunk size changes no result.
+only on its own row of logits, so the chunk size changes no result. When a
+split spans several chunks, a short last chunk is filled up with copies
+of its first query and the copies' ranks are dropped, so every chunk
+allocates arrays of one size: after the full chunks have raised glibc
+malloc's mmap threshold, a smaller chunk's arrays come from its heap
+instead, and whether that heap then grows depends on the process's
+allocation history (in benchmark evaluation it moved the resident peak
+by 16-20 MB between directory layouts at one dataset seed). The copies
+cost at most one chunk's work per split.
 Smaller chunks cost time: at 256 queries the ICEWS14-shaped benchmark
 (2 vCPUs) ranked 1-16% slower per query than at 512, in the fuse and
 logit matmuls, which pack the shared projection and entity tables once
@@ -130,7 +138,10 @@ def evaluate(model, quads: np.ndarray, flt: TargetIndex | None,
     ranks = np.empty(quads.shape[0])
     for start in range(0, quads.shape[0], batch_size):
         rows = order[start:start + batch_size]
-        ranks[rows] = _chunk_ranks(model, quads, rows, flt, mode)
+        chunk = rows
+        if rows.size < batch_size < quads.shape[0]:  # see the module notes
+            chunk = np.append(rows, np.full(batch_size - rows.size, rows[0]))
+        ranks[rows] = _chunk_ranks(model, quads, chunk, flt, mode)[:rows.size]
     return RankingMetrics.from_ranks(ranks, quads[:, 1] >= num_relations)
 
 
@@ -144,7 +155,7 @@ def _chunk_ranks(model, quads: np.ndarray, rows: np.ndarray, flt: TargetIndex | 
     mask = np.isfinite(logits, out=np.empty(logits.shape, dtype=bool))
     # every comparison with NaN is false, so a NaN would rank first
     if not mask.all():
-        bad = np.sort(rows[~mask.all(axis=1)])
+        bad = np.unique(rows[~mask.all(axis=1)])
         more = f", ... ({bad.size} in all)" if bad.size > 5 else ""
         raise NumericError("non-finite logits for queries at input positions "
                            f"{', '.join(map(str, bad[:5].tolist()))}{more}")

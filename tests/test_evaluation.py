@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from timekge import evaluation
 from timekge.datasets import Dataset, Vocab, augment_reciprocal, synthetic_dataset_dir
 from timekge.errors import DataError, NumericError
 from timekge.evaluation import (
@@ -242,6 +243,34 @@ class TestChunkSize:
         assert len(seen) == 2 * len(sizes)
         for first, *others in (seen[:3], seen[3:]):
             assert all(np.array_equal(ranks, first) for ranks in others)
+
+
+    def test_a_short_last_chunk_is_filled_up_to_the_full_size(self, monkeypatch):
+        # every chunk of a split allocates arrays of one size; a single chunk
+        # is never filled up
+        rng = np.random.default_rng(7)
+        e, r, t = 50, 3, 4
+        facts = np.stack([rng.integers(0, e, 300), rng.integers(0, r, 300),
+                          rng.integers(0, e, 300), rng.integers(0, t, 300)], axis=1)
+        quads = augment_reciprocal(facts, r)
+        model = Model(init_params("tnt", e, r, 2, 8, encoder="ste", num_timestamps=t,
+                                  rng=np.random.default_rng(8)))
+        flt = build_filter([quads])
+        sizes, chunk_ranks = [], evaluation._chunk_ranks
+        monkeypatch.setattr(evaluation, "_chunk_ranks", lambda model, quads, rows, *rest: (
+            sizes.append(rows.size) or chunk_ranks(model, quads, rows, *rest)))
+        for mode in ("filtered", "raw"):
+            whole = evaluate(model, quads, flt, mode=mode, batch_size=quads.shape[0])
+            assert evaluate(model, quads, flt, mode=mode, batch_size=256) == whole
+        assert quads.shape[0] == 600 and sizes == [600, 256, 256, 256] * 2
+
+    def test_non_finite_logit_in_a_filled_up_chunk_is_named_once(self):
+        # the last chunk holds input position 3 and two copies of it
+        queries = np.array([[0, 0, 1, 0], [1, 0, 2, 0], [2, 0, 1, 0], [3, 0, 1, 0]])
+        table = np.zeros((4, 1, 1, 4))
+        table[3, 0, 0, 2] = np.inf
+        with pytest.raises(NumericError, match=r"at input positions 3$"):
+            evaluate(TableScorer(table), queries, None, mode="raw", batch_size=3)
 
 
 class TableScorer:
