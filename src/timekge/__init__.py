@@ -12,11 +12,13 @@ The package factors into:
   :meth:`Model.fuse`, with hand-derived gradients;
 * :mod:`timekge.kernels` -- the block size and row gather the batched
   passes share;
-* :mod:`timekge.training` -- 1-N loop, Adam, a run's history and checkpoints;
+* :mod:`timekge.training` -- 1-N loop, Adam, a run's history and when it saves;
+* :mod:`timekge.checkpoint` -- the on-disk checkpoint format, saved and loaded;
 * :mod:`timekge.evaluation` -- filtered ranking metrics and count exports;
 * :mod:`timekge.cli` -- the ``timekge`` command.
 """
 
+from .checkpoint import load_checkpoint, save_checkpoint
 from .datasets import (
     Dataset,
     QuadrupleColumns,
@@ -48,8 +50,6 @@ from .training import (
     adam_step,
     bce_loss,
     decay_lr,
-    load_checkpoint,
-    save_checkpoint,
     train_epoch,
 )
 

@@ -19,6 +19,7 @@ import typing
 from dataclasses import dataclass
 from pathlib import Path
 
+from .checkpoint import load_checkpoint
 from .datasets import Dataset, prepare_splits
 from .errors import (
     CheckpointVocabError,
@@ -40,7 +41,6 @@ from .training import (
     TrainConfig,
     Trainer,
     check_checkpoint_policy,
-    load_checkpoint,
 )
 
 ENCODE_TIME_HEADER = ("date,dow,dom,wom,dos,wos,mos,doy,woy,moy,soy,"
@@ -86,7 +86,8 @@ def load_run_config(config_path: str | None, overrides: dict) -> RunConfig:
                 loaded = json.load(fh)
         except OSError as exc:
             raise ConfigError(f"cannot read config {config_path}: {exc}") from None
-        except json.JSONDecodeError as exc:
+        # ValueError covers bad JSON and bad UTF-8; deep nesting raises RecursionError
+        except (ValueError, RecursionError) as exc:
             raise ConfigError(f"config {config_path} is not valid JSON: {exc}") from None
         if not isinstance(loaded, dict):
             raise ConfigError(f"config {config_path} must be a JSON object")

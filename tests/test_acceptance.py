@@ -17,6 +17,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from timekge.checkpoint import load_checkpoint, save_checkpoint
 from timekge.cli import main as cli_main
 from timekge.datasets import (
     Dataset,
@@ -37,7 +38,7 @@ from timekge.time_encoding import (
     cycle_cardinalities,
     decompose_date,
 )
-from timekge.training import TrainConfig, Trainer, bce_loss, load_checkpoint, save_checkpoint
+from timekge.training import TrainConfig, Trainer, bce_loss
 
 DAYS_IN_MONTH = [31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31]
 

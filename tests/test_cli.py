@@ -103,6 +103,15 @@ class TestTrain:
                                    "learning_rate": 0.1}))
         assert main(["train", "--config", str(cfg)]) == 1
 
+    @pytest.mark.parametrize("content", [b"[" * 200_000, b"\xff{}"], ids=["nested", "not-utf8"])
+    def test_unreadable_config_exits_1(self, tmp_path, capsys, content):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_bytes(content)
+        assert main(["train", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: config {cfg} ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("key, value", [
         ("rank", "32"), ("epochs", 2.5), ("dim_relation", True), ("lr", None),
         ("variant", 3), ("eval_interval", "5")])
@@ -311,6 +320,15 @@ class TestEvaluate:
         assert main(["evaluate", "--checkpoint", str(out / "checkpoint-best"),
                      "--dataset", SYNTH]) == 1
 
+
+    @pytest.mark.parametrize("content", [b"[" * 200_000, b"\xff{}"], ids=["nested", "not-utf8"])
+    def test_unreadable_manifest_exits_1(self, tmp_path, capsys, content):
+        path = tmp_path / "manifest.json"
+        path.write_bytes(content)
+        assert main(["evaluate", "--checkpoint", str(tmp_path), "--dataset", SYNTH]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot read {path}: ") and err.count("\n") == 1
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize("field, value", [
         ("dims", None), ("tensors", ["entity"]), ("num_entities", "absent"),

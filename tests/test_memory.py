@@ -1,4 +1,4 @@
-"""Peak memory of the 1-N training step, the ranking chunk and checkpoint loading.
+"""Peak memory of the 1-N training step, the ranking chunk and checkpoints.
 
 numpy reports its array allocations to ``tracemalloc``, so traced peaks
 are deterministic byte counts: no wall clock and no RSS is read.
@@ -10,7 +10,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from timekge import datasets, evaluation, scoring, training
+from timekge import checkpoint, datasets, evaluation, scoring, training
 from timekge.errors import CheckpointShapeError
 from timekge.kernels import _CHUNK
 
@@ -195,12 +195,30 @@ def test_checkpoint_load_holds_each_tensor_once(tmp_path):
                                  rng=np.random.default_rng(0))
     size = sum(t.nbytes for t in params.tensors().values())
     path = tmp_path / "checkpoint"
-    training.save_checkpoint(path, params, vocab_hashes=vocab.hashes(), epoch=0, seed=0,
+    checkpoint.save_checkpoint(path, params, vocab_hashes=vocab.hashes(), epoch=0, seed=0,
                              num_timestamps=vocab.num_timestamps)
-    training.load_checkpoint(path, dataset)  # warm-up
+    checkpoint.load_checkpoint(path, dataset)  # warm-up
     loaded = []
-    peak = traced_peak(lambda: loaded.append(training.load_checkpoint(path, dataset)))
+    peak = traced_peak(lambda: loaded.append(checkpoint.load_checkpoint(path, dataset)))
     assert size > 8 << 20 and peak < size + (1 << 20)
+
+
+def test_checkpoint_save_writes_each_tensor_from_its_own_buffer(tmp_path):
+    # no tensor is copied on its way to the file: the largest alone would break the bound
+    vocab = datasets.Dataset.from_dir(datasets.synthetic_dataset_dir()).vocab
+    params = scoring.init_params("cfb", vocab.num_entities, vocab.num_relations, 16, 64,
+                                 encoder="ste", num_timestamps=vocab.num_timestamps,
+                                 rng=np.random.default_rng(0))
+    path = tmp_path / "checkpoint"
+
+    def save():
+        checkpoint.save_checkpoint(path, params, vocab_hashes=vocab.hashes(), epoch=0,
+                                   seed=0, num_timestamps=vocab.num_timestamps)
+
+    save()  # warm-up; the traced save also retires this checkpoint
+    peak = traced_peak(save)
+    largest = max(t.nbytes for t in params.tensors().values())
+    assert largest >= 8 << 20 and peak < (path / "manifest.json").stat().st_size + (1 << 20)
 
 
 def test_oversized_manifest_refused_before_allocating(tmp_path):
@@ -210,7 +228,7 @@ def test_oversized_manifest_refused_before_allocating(tmp_path):
     params = scoring.init_params("lowfer", vocab.num_entities, vocab.num_relations, 1, 8,
                                  rng=np.random.default_rng(0))
     path = tmp_path / "checkpoint"
-    training.save_checkpoint(path, params, vocab_hashes=vocab.hashes(), epoch=0, seed=0)
+    checkpoint.save_checkpoint(path, params, vocab_hashes=vocab.hashes(), epoch=0, seed=0)
     manifest = json.loads((path / "manifest.json").read_text())
     dim = (100 << 20) // (8 * vocab.num_entities)
     manifest["dims"] = {"entity": dim, "relation": 8, "time": None}
@@ -221,6 +239,6 @@ def test_oversized_manifest_refused_before_allocating(tmp_path):
 
     def load():
         with pytest.raises(CheckpointShapeError, match="entity.bin"):
-            training.load_checkpoint(path, dataset)
+            checkpoint.load_checkpoint(path, dataset)
 
     assert traced_peak(load) < 1 << 20

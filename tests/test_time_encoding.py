@@ -332,7 +332,7 @@ class TestCyclicEncoder:
 def test_checkpoint_of_fourteen_files_loads_into_the_stacked_table(tmp_path):
     from timekge.datasets import Dataset, synthetic_dataset_dir
     from timekge.scoring import init_params
-    from timekge.training import load_checkpoint, save_checkpoint
+    from timekge.checkpoint import load_checkpoint, save_checkpoint
 
     ds = Dataset.from_dir(synthetic_dataset_dir())
     vocab = ds.vocab

@@ -20,7 +20,8 @@ from timekge.errors import (
 from timekge.evaluation import evaluate
 from timekge.kernels import _CHUNK
 from timekge.scoring import Model, _apply_keep, _dropout_keep, init_params
-from timekge import training
+from timekge import checkpoint, training
+from timekge.checkpoint import load_checkpoint, save_checkpoint
 from timekge.training import (
     AdamState,
     TrainConfig,
@@ -28,8 +29,6 @@ from timekge.training import (
     adam_step,
     bce_loss,
     decay_lr,
-    load_checkpoint,
-    save_checkpoint,
     train_epoch,
 )
 
@@ -706,7 +705,7 @@ class TestCheckpoints:
                     raise OSError("disk full")
             return open(file, mode, *args, **kwargs)
 
-        monkeypatch.setattr(training, "open", failing_open, raising=False)
+        monkeypatch.setattr(checkpoint, "open", failing_open, raising=False)
         with pytest.raises(OSError, match="disk full"):
             self.save(path, trainer, epoch=1)
         monkeypatch.undo()
@@ -727,7 +726,7 @@ class TestCheckpoints:
         path = tmp_path / "checkpoint-best"
         self.save(path, trainer, epoch=0)  # the next save also retires a checkpoint
         events = []  # ("fsync", (device, inode)) or ("replace", None), in call order
-        real_fsync, real_replace = training.os.fsync, training.os.replace
+        real_fsync, real_replace = checkpoint.os.fsync, checkpoint.os.replace
 
         def recording_fsync(fd):
             st = os.fstat(fd)
@@ -738,8 +737,8 @@ class TestCheckpoints:
             events.append(("replace", None))
             real_replace(src, dst)
 
-        monkeypatch.setattr(training.os, "fsync", recording_fsync)
-        monkeypatch.setattr(training.os, "replace", recording_replace)
+        monkeypatch.setattr(checkpoint.os, "fsync", recording_fsync)
+        monkeypatch.setattr(checkpoint.os, "replace", recording_replace)
         self.save(path, trainer, epoch=1)
         monkeypatch.undo()
 
