@@ -22,7 +22,7 @@ import numpy as np
 
 from . import evaluation
 # load_checkpoint is bound here for perfbench, which calls and traces both as training.*
-from .checkpoint import load_checkpoint, save_checkpoint  # noqa: F401
+from .checkpoint import load_checkpoint, save_checkpoint
 from .datasets import Dataset, TargetIndex, group_targets, prepare_splits, resample_dates
 from .errors import ConfigError, NumericError
 from .scoring import _CHUNK, Model, init_params, param_layout
