@@ -40,7 +40,7 @@ def fuse(variant, rank, subj, rel, time=None, **tables):
 g = fuse("lowfer", 1, [1.0, 2.0], [3.0, 4.0], subject_proj=np.eye(2), relation_proj=np.eye(2))
 print("lowfer, identity projections:", g)           # (3, 8)
 print("scored against two objects:",
-      score_all(g, np.array([[1.0, 0.0], [1.0, 1.0]])))
+      score_all(g[None], np.array([[1.0, 0.0], [1.0, 1.0]]))[0])
 
 # --- how the variants collapse into each other ----------------------------------
 subj, rel, timev = rng.standard_normal((3, 4))

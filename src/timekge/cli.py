@@ -112,11 +112,14 @@ def cmd_train(args) -> int:
     overrides = {f.name: getattr(args, f.name) for f in dataclasses.fields(RunConfig)}
     config = load_run_config(args.config, overrides)
     config.validate()
+    out = Path(config.out)
+    # one run per directory: an earlier run's checkpoints would sit beside this one's
+    if out.is_dir() and any(out.iterdir()):
+        raise ConfigError(f"output directory {out} is not empty")
 
     dataset = Dataset.from_dir(config.dataset)
     trainer = Trainer(dataset, config.train_config())
 
-    out = Path(config.out)
     out.mkdir(parents=True, exist_ok=True)
     # a refused run writes no file, so the policy is checked before the first
     trainer.check_policy(config.checkpoint_policy, config.checkpoint_every)

@@ -36,7 +36,7 @@ per chunk.
 """
 
 import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 import numpy as np
 
 from .datasets import TargetIndex, Vocab, group_targets, resample_dates, resample_time
@@ -45,9 +45,7 @@ from .errors import DataError, MissingKeyError, NumericError
 
 def build_filter(splits) -> TargetIndex:
     """Union of (s, p, t) -> objects groupings over the given splits."""
-    merged = np.concatenate([np.asarray(s).reshape(-1, 4) for s in splits], axis=0) \
-        if splits else np.zeros((0, 4), dtype=np.int64)
-    return group_targets(merged)
+    return group_targets(np.concatenate([np.asarray(s).reshape(-1, 4) for s in splits]))
 
 
 def rank_of(scores: np.ndarray, true_obj: int, filter_out=()) -> float:
@@ -90,8 +88,7 @@ class DirectionMetrics:
         )
 
     def to_dict(self) -> dict:
-        return {"mrr": self.mrr, "hits1": self.hits1, "hits3": self.hits3,
-                "hits10": self.hits10, "num_queries": self.num_queries}
+        return {f.name: getattr(self, f.name) for f in fields(DirectionMetrics)}
 
 
 @dataclass
@@ -188,21 +185,35 @@ def _missing_key_error(flt: TargetIndex, quads: np.ndarray, key) -> DataError:
 # count exports
 # ---------------------------------------------------------------------------
 
-def _timestamps(quads: np.ndarray, num_timestamps: int) -> np.ndarray:
-    """The timestamp column, refused if any index falls outside the table."""
+def relation_time_counts(quads: np.ndarray, num_relations: int,
+                         num_timestamps: int) -> np.ndarray:
+    """Fact counts per (original relation, timestamp); reciprocals folded.
+
+    Refuses a timestamp index outside ``[0, num_timestamps)``, whose cell
+    would otherwise land in a neighbouring relation's row.
+    """
+    quads = np.asarray(quads, dtype=np.int64).reshape(-1, 4)
     t = quads[:, 3]
     if t.size and not 0 <= t.min() <= t.max() < num_timestamps:
         raise DataError(f"timestamp index outside [0, {num_timestamps})")
-    return t
-
-
-def relation_time_counts(quads: np.ndarray, num_relations: int,
-                         num_timestamps: int) -> np.ndarray:
-    """Fact counts per (original relation, timestamp); reciprocals folded."""
-    quads = np.asarray(quads, dtype=np.int64).reshape(-1, 4)
-    cells = (quads[:, 1] % num_relations) * num_timestamps + _timestamps(quads, num_timestamps)
+    cells = (quads[:, 1] % num_relations) * num_timestamps + t
     return np.bincount(cells, minlength=num_relations * num_timestamps).astype(
         np.int64, copy=False).reshape(num_relations, num_timestamps)
+
+
+def _bucket_counts(quads: np.ndarray, vocab: Vocab, rate: int) -> tuple[np.ndarray, list[str]]:
+    """Fact counts per relation and bucket of ``rate`` timestamps, and each
+    bucket's label: the first date it covers."""
+    resampled, num_t = resample_time(quads, rate, vocab.num_timestamps)
+    labels = [d.isoformat() for d in resample_dates(vocab.dates, rate)]
+    return relation_time_counts(resampled, vocab.num_relations, num_t), labels
+
+
+def _write_csv(path, header: list[str], rows) -> None:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def export_time_relation_heatmap(quads: np.ndarray, vocab: Vocab, path,
@@ -212,27 +223,16 @@ def export_time_relation_heatmap(quads: np.ndarray, vocab: Vocab, path,
     Columns are labelled with the first date each bucket covers; at
     ``rate == 1`` that is just the timestamp's own date.
     """
-    resampled, num_t = resample_time(quads, rate, vocab.num_timestamps)
-    counts = relation_time_counts(resampled, vocab.num_relations, num_t)
-    labels = [d.isoformat() for d in resample_dates(vocab.dates, rate)]
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["relation", *labels])
-        for r, name in enumerate(vocab.relations):
-            writer.writerow([name, *counts[r].tolist()])
+    counts, labels = _bucket_counts(quads, vocab, rate)
+    _write_csv(path, ["relation", *labels],
+               ([name, *row] for name, row in zip(vocab.relations, counts.tolist())))
     return counts
 
 
 def export_time_concentration(quads: np.ndarray, vocab: Vocab, path,
                               rate: int = 1) -> np.ndarray:
-    """CSV of total fact counts per (resampled) timestamp."""
-    resampled, num_t = resample_time(quads, rate, vocab.num_timestamps)
-    counts = np.bincount(_timestamps(resampled, num_t), minlength=num_t).astype(
-        np.int64, copy=False)
-    labels = [d.isoformat() for d in resample_dates(vocab.dates, rate)]
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["date", "count"])
-        for label, count in zip(labels, counts.tolist()):
-            writer.writerow([label, count])
-    return counts
+    """CSV of total fact counts per (resampled) timestamp: the heatmap's column sums."""
+    counts, labels = _bucket_counts(quads, vocab, rate)
+    totals = counts.sum(axis=0)
+    _write_csv(path, ["date", "count"], zip(labels, totals.tolist()))
+    return totals

@@ -76,15 +76,6 @@ class Variant(enum.Enum):
 # row helpers
 # ---------------------------------------------------------------------------
 
-def _rows(x) -> tuple[np.ndarray, bool]:
-    arr = np.asarray(x, dtype=np.float64)
-    if arr.ndim == 1:
-        return arr[None, :], True
-    if arr.ndim == 2:
-        return arr, False
-    raise ShapeError(f"expected vector or batch of vectors, got shape {arr.shape}")
-
-
 def pool_rows(x: np.ndarray, rank: int) -> np.ndarray:
     """Window summation along the last axis; inverse of gradient expansion."""
     n, width = x.shape
@@ -332,15 +323,13 @@ def _times_dh(out: np.ndarray, dg: np.ndarray, keep: np.ndarray | None, rate: fl
 
 
 def score_all(fused, entity_table) -> np.ndarray:
-    """Dot the fused query vector(s) against every entity row (logits)."""
-    g, single = _rows(fused)
-    table = np.asarray(entity_table, dtype=np.float64)
-    if g.shape[1] != table.shape[1]:
-        raise ShapeError(
-            f"fused dim {g.shape[1]} != entity dim {table.shape[1]}"
-        )
-    logits = g @ table.T
-    return logits[0] if single else logits
+    """Dot a (B, d) batch of fused query vectors against every row of an
+    (E, d) entity table: the (B, E) logits, in the dtype the data has."""
+    g, table = np.asarray(fused), np.asarray(entity_table)
+    if g.ndim != 2 or table.ndim != 2 or g.shape[1] != table.shape[1]:
+        raise ShapeError(f"expected a (B, d) batch and an (E, d) table, "
+                         f"got {g.shape} and {table.shape}")
+    return g @ table.T
 
 
 # ---------------------------------------------------------------------------
@@ -449,7 +438,7 @@ class Model:
         """
         p = self.params
         take = inputs.pop
-        dlogits = np.asarray(take("dlogits"), dtype=np.float64)
+        dlogits = take("dlogits")
         g = take("g")
         if dlogits.shape != (g.shape[0], p.num_entities):
             raise ShapeError(

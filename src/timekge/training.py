@@ -25,7 +25,8 @@ from . import evaluation
 from .checkpoint import load_checkpoint, save_checkpoint
 from .datasets import Dataset, TargetIndex, group_targets, prepare_splits, resample_dates
 from .errors import ConfigError, NumericError
-from .scoring import _CHUNK, Model, init_params, param_layout
+from .kernels import _CHUNK
+from .scoring import Model, init_params, param_layout
 
 logger = logging.getLogger(__name__)
 
@@ -251,11 +252,8 @@ class EpochRecord:
     val: dict | None = None
 
     def to_json(self) -> dict:
-        out = {"epoch": self.epoch, "loss": self.loss, "lr": self.lr,
-               "seconds": self.seconds}
-        if self.val is not None:
-            out["val"] = self.val
-        return out
+        """The fields by name; ``val`` only when it was computed."""
+        return {k: v for k, v in vars(self).items() if k != "val" or v is not None}
 
 
 # ---------------------------------------------------------------------------

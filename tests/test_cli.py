@@ -185,15 +185,31 @@ class TestTrain:
             for line in p.read_text().splitlines()]
         assert strip(first / "history.jsonl") == strip(second / "history.jsonl")
 
-    def test_earlier_run_checkpoints_do_not_replace_this_runs(self, tmp_path):
+    def test_earlier_run_checkpoints_do_not_replace_this_runs(self, tmp_path, capsys):
         every = ["--checkpoint-policy", "every", "--checkpoint-every", "2"]
         code, out = run_train(tmp_path, *every, "--epochs", "3")
         assert code == 0 and (out / "checkpoint-epoch-1").is_dir()
-        # one epoch saves nothing under the policy, so the run falls back to its last state
+        before = {p: p.read_bytes() for p in out.rglob("*") if p.is_file()}
+        capsys.readouterr()
+        # a second run into the directory is refused before anything is written
         code, out = run_train(tmp_path, *every, "--epochs", "1")
-        assert code == 0
-        manifest = json.loads((out / "checkpoint-last" / "manifest.json").read_text())
-        assert manifest["epoch"] == 0 and manifest["config"]["epochs"] == 1
+        assert code == 1
+        assert capsys.readouterr().err == f"error: output directory {out} is not empty\n"
+        assert {p: p.read_bytes() for p in out.rglob("*") if p.is_file()} == before
+
+    def test_non_empty_out_refused_before_the_dataset_is_read(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        out.mkdir()
+        (out / "notes.txt").write_text("keep")
+        code = main(["train", "--dataset", str(tmp_path / "nope"), "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: output directory {out} is not empty\n"
+        assert [p.name for p in out.iterdir()] == ["notes.txt"]
+
+    def test_empty_out_directory_is_accepted(self, tmp_path):
+        (tmp_path / "run").mkdir()
+        code, out = run_train(tmp_path, "--epochs", "1")
+        assert code == 0 and (out / "checkpoint-best").is_dir()
 
     def test_best_checkpoint_holds_the_first_best_epoch(self, tmp_path, capsys):
         code, out = run_train(tmp_path, "--seed", "0", "--epochs", "4", "--eval-interval", "1")

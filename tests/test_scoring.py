@@ -190,38 +190,51 @@ class TestSubsumption:
 
 
 class TestScoreAll:
+    # each identity holds for a one-row batch and for a batch of several rows
+    BATCHES = (1, 3)
+
     def test_zero_query_gives_zero_logits(self):
         table = np.random.default_rng(0).standard_normal((6, 3))
-        np.testing.assert_array_equal(score_all(np.zeros(3), table), np.zeros(6))
+        for n in self.BATCHES:
+            np.testing.assert_array_equal(score_all(np.zeros((n, 3)), table), np.zeros((n, 6)))
 
     def test_identity_table_returns_query(self):
-        g = np.array([0.5, -1.0, 2.0])
-        np.testing.assert_array_equal(score_all(g, np.eye(3)), g)
+        g = np.array([[0.5, -1.0, 2.0], [3.0, 0.0, -0.25], [1.0, 1.0, 1.0]])
+        for n in self.BATCHES:
+            np.testing.assert_array_equal(score_all(g[:n], np.eye(3)), g[:n])
 
     def test_single_entity(self):
-        g = np.array([1.0, 2.0])
+        g = np.array([[1.0, 2.0], [0.0, -1.0], [2.0, 0.5]])
         table = np.array([[3.0, 4.0]])
-        np.testing.assert_allclose(score_all(g, table), [11.0])
+        for n in self.BATCHES:
+            np.testing.assert_allclose(score_all(g[:n], table), [[11.0], [-4.0], [8.0]][:n])
 
     def test_linear_in_query(self):
         rng = np.random.default_rng(1)
-        g1, g2 = rng.standard_normal((2, 4))
         table = rng.standard_normal((5, 4))
-        np.testing.assert_allclose(
-            score_all(2.0 * g1 + g2, table),
-            2.0 * score_all(g1, table) + score_all(g2, table), rtol=1e-12)
+        for n in self.BATCHES:
+            g1, g2 = rng.standard_normal((2, n, 4))
+            np.testing.assert_allclose(
+                score_all(2.0 * g1 + g2, table),
+                2.0 * score_all(g1, table) + score_all(g2, table), rtol=1e-12)
 
     def test_linear_in_entity_rows(self):
         rng = np.random.default_rng(2)
-        g = rng.standard_normal(4)
         t1, t2 = rng.standard_normal((2, 5, 4))
-        np.testing.assert_allclose(
-            score_all(g, 0.5 * t1 + 2.0 * t2),
-            0.5 * score_all(g, t1) + 2.0 * score_all(g, t2), rtol=1e-12)
+        for n in self.BATCHES:
+            g = rng.standard_normal((n, 4))
+            np.testing.assert_allclose(
+                score_all(g, 0.5 * t1 + 2.0 * t2),
+                0.5 * score_all(g, t1) + 2.0 * score_all(g, t2), rtol=1e-12)
 
     def test_dim_mismatch(self):
         with pytest.raises(ShapeError):
-            score_all(np.zeros(3), np.zeros((5, 4)))
+            score_all(np.zeros((2, 3)), np.zeros((5, 4)))
+
+    def test_vector_query_refused(self):
+        # a single query is a (1, d) batch
+        with pytest.raises(ShapeError):
+            score_all(np.zeros(3), np.zeros((5, 3)))
 
 
 class TestModelForward:

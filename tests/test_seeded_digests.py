@@ -15,7 +15,8 @@ PAIRS = ["lowfer-ste", "t-ste", "t-cte", "tnt-ste", "tnt-cte", "cfb-ste", "cfb-c
 # the checkpoint policy cycles best, every 2 and last over 3-epoch runs
 CHECKPOINTS = ["checkpoint-best", "checkpoint-epoch-1", "checkpoint-last"]
 DATA = ["stats.stdout", "encode-time.stdout", "heatmap-rate1.csv", "concentration-rate1.csv",
-        "heatmap-rate4.csv", "concentration-rate4.csv"]
+        "heatmap-rate3.csv", "concentration-rate3.csv", "heatmap-rate4.csv",
+        "concentration-rate4.csv"]
 SCALE = ["scale-threads1", "scale-threads2"]
 SCALE_TENSORS = {"tnt-ste": ["entity", "relation", "subject_proj", "relation_proj",
                              "relation_static", "time"],

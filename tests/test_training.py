@@ -777,9 +777,10 @@ class TestCheckpoints:
 class TestRunArtifacts:
     """``Trainer.run`` given a directory writes the history and saves by the policy."""
 
-    def run(self, directory, policy, every=None):
+    def run(self, directory, policy, every=None, epochs=4):
         ds = Dataset.from_dir(synthetic_dataset_dir())
-        cfg = TrainConfig(variant="tnt", dim_entity=8, rank=2, epochs=4, seed=0, batch_size=64)
+        cfg = TrainConfig(variant="tnt", dim_entity=8, rank=2, epochs=epochs, seed=0,
+                          batch_size=64)
         trainer = Trainer(ds, cfg)
         trainer.run(1, directory, policy, every)
         return ds, trainer
@@ -821,6 +822,15 @@ class TestRunArtifacts:
         assert manifest["epoch"] == 3
         for name, tensor in trainer.model.params.tensors().items():
             assert params.tensors()[name].tobytes() == tensor.tobytes()
+
+    def test_checkpoints_an_earlier_run_left_do_not_count(self, tmp_path):
+        self.run(tmp_path, "every", 2)
+        # one epoch saves nothing under the policy, so the run falls back to its last state
+        ds, _ = self.run(tmp_path, "every", 2, epochs=1)
+        assert self.checkpoints(tmp_path) == [
+            "checkpoint-epoch-1", "checkpoint-epoch-3", "checkpoint-last"]
+        manifest = load_checkpoint(tmp_path / "checkpoint-last", ds)[1]
+        assert manifest["epoch"] == 0 and manifest["config"]["epochs"] == 1
 
     def test_best_policy_refuses_an_empty_valid_split_before_training(self, tmp_path):
         ds = toy_dataset([[0, 0, 1, 0], [1, 0, 2, 1]], 3, 1, 2, valid=np.zeros((0, 4)))
