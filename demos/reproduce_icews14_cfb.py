@@ -18,6 +18,9 @@ TIMEKGE_DATA_DIR at a directory containing icews14/.
 
 Usage:
     python demos/reproduce_icews14_cfb.py [--epochs N] [--out DIR]
+
+``timekge train`` refuses an ``--out`` that is a non-empty directory, so
+a second run needs a new ``--out`` (default ``runs/icews14-cfb``).
 """
 
 import argparse
