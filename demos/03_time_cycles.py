@@ -5,8 +5,9 @@ A calendar date sits inside many recurring cycles at once: a position in
 its week, month, season, year, and the base-10 digits of the year
 itself. The cyclic encoder turns each of those 14 positions into an
 embedding-table row and sums them, so dates that share a cycle position
-share parameters; the simple encoder gives every timestamp its own
-independent row.
+share parameters. The simple encoder is the one-component case of the
+same rule: its one component is the timestamp index, so every timestamp
+has its own independent row.
 """
 
 import datetime as dt

@@ -6,8 +6,8 @@ The package factors into:
 * :mod:`timekge.datasets` -- quadruple parsing into four parallel columns,
   vocabularies, reciprocal augmentation, time resampling, the sorted
   ``(s, p, t)`` target index;
-* :mod:`timekge.time_encoding` -- per-timestamp and cycle-decomposition
-  time encoders;
+* :mod:`timekge.time_encoding` -- one time encoder, a sum of one row per
+  cycle component; per-timestamp encoding is its one-component case;
 * :mod:`timekge.scoring` -- the five fusion variants, stated once in
   :meth:`Model.fuse`, with hand-derived gradients;
 * :mod:`timekge.kernels` -- the block size and row gather the batched

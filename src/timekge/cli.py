@@ -116,6 +116,8 @@ def cmd_train(args) -> int:
     # one run per directory: an earlier run's checkpoints would sit beside this one's
     if out.is_dir() and any(out.iterdir()):
         raise ConfigError(f"output directory {out} is not empty")
+    if out.exists() and not out.is_dir():
+        raise ConfigError(f"output path {out} exists and is not a directory")
 
     dataset = Dataset.from_dir(config.dataset)
     trainer = Trainer(dataset, config.train_config())

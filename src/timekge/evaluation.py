@@ -189,14 +189,17 @@ def relation_time_counts(quads: np.ndarray, num_relations: int,
                          num_timestamps: int) -> np.ndarray:
     """Fact counts per (original relation, timestamp); reciprocals folded.
 
-    Refuses a timestamp index outside ``[0, num_timestamps)``, whose cell
-    would otherwise land in a neighbouring relation's row.
+    Refuses a relation index outside ``[0, 2 * num_relations)`` and a
+    timestamp index outside ``[0, num_timestamps)``, whose cells would
+    otherwise land in another relation's row.
     """
     quads = np.asarray(quads, dtype=np.int64).reshape(-1, 4)
-    t = quads[:, 3]
+    p, t = quads[:, 1], quads[:, 3]
+    if p.size and not 0 <= p.min() <= p.max() < 2 * num_relations:
+        raise DataError(f"relation index outside [0, {2 * num_relations})")
     if t.size and not 0 <= t.min() <= t.max() < num_timestamps:
         raise DataError(f"timestamp index outside [0, {num_timestamps})")
-    cells = (quads[:, 1] % num_relations) * num_timestamps + t
+    cells = (p % num_relations) * num_timestamps + t
     return np.bincount(cells, minlength=num_relations * num_timestamps).astype(
         np.int64, copy=False).reshape(num_relations, num_timestamps)
 

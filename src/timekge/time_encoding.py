@@ -1,19 +1,18 @@
 """Timestamp encoders.
 
-Two interchangeable encoders produce the time embedding consumed by the
-temporal scoring variants:
+A date's embedding is the sum of one learned row per cycle component.
+Two encoders apply that rule:
 
-* simple encoding: one independent embedding row per timestamp index;
 * cyclic encoding: a calendar date is decomposed into 14 positions
   within nested recurring cycles (day of week, day/week of month,
   day/week/month of season, day/week/month/season of year, and the four
-  base-10 digits of the year), and the embedding is the sum of one
-  learned row per component.
+  base-10 digits of the year);
+* simple encoding: the one-component case, whose one component is the
+  timestamp index itself, so every timestamp has an independent row.
 
-Both are one learned table whose rows a timestamp selects and sums: the
-simple table has a row per timestamp, the cyclic one stacks the 14
-component tables (627 rows) and selects 14 rows. The stacked table is
-stored once; :meth:`CyclicTimeEncoder.tensors` names its 14 row ranges
+Both run :class:`TimeEncoder`: the component tables are stacked into one
+table (627 rows for the cyclic one) whose rows a timestamp selects and
+sums. :meth:`TimeEncoder.tensors` names the row ranges ``time`` or
 ``time_<component>``, so parameter layouts, optimizer state and
 checkpoints keep one tensor (and one file) per component.
 
@@ -113,48 +112,81 @@ def decompose_date(date: dt.date) -> CycleIndices:
     )
 
 
-class SimpleTimeEncoder:
-    """One independent embedding row per timestamp index."""
+class TimeEncoder:
+    """Per timestamp, the sum of one row per component of a stacked table.
 
-    kind = "ste"
+    Component ``j`` owns rows ``offsets[j]:offsets[j + 1]`` of ``table``
+    and is the tensor ``names[j]``; ``component_rows[t, j]`` is the row of
+    component ``j`` that timestamp index ``t`` selects, counted within that
+    component.
+    """
 
-    def __init__(self, table: np.ndarray):
-        if table.ndim != 2:
-            raise ShapeError(f"time table must be 2-d, got shape {table.shape}")
+    def __init__(self, table: np.ndarray, component_rows: np.ndarray,
+                 names: tuple[str, ...], sizes: Iterable[int]):
         self.table = table
+        self.component_rows = component_rows
+        self.names = names
+        self.offsets = np.cumsum([0, *sizes])
 
     @property
     def dim(self) -> int:
         return self.table.shape[1]
 
-    def encode_batch(self, timestamps) -> np.ndarray:
+    def _rows(self, timestamps) -> np.ndarray:
+        """(B, C) rows of the stacked table that the timestamps select."""
         ts = np.asarray(timestamps, dtype=np.int64)
-        if ts.size and (ts.min() < 0 or ts.max() >= self.table.shape[0]):
+        if ts.size and (ts.min() < 0 or ts.max() >= self.component_rows.shape[0]):
             raise IndexError("timestamp index out of range")
-        return self.table[ts]
+        return self.component_rows[ts] + self.offsets[:-1]
+
+    def encode_batch(self, timestamps) -> np.ndarray:
+        """Sum of the selected rows, in component order, per timestamp.
+
+        The selected rows are gathered and summed a cache-sized block of
+        timestamps at a time, so the (B, C, d) gather never exists whole.
+        """
+        rows = self._rows(timestamps)
+        out = np.empty((rows.shape[0], self.dim))
+        block = max(1, _CHUNK // (len(self.names) * self.dim))
+        scratch = np.empty(min(rows.shape[0], block) * len(self.names) * self.dim)
+        for start in range(0, rows.shape[0], block):
+            take_rows(self.table, rows[start:start + block], scratch).sum(
+                axis=1, out=out[start:start + block])
+        return out
 
     def tensors(self) -> dict[str, np.ndarray]:
-        return {"time": self.table}
+        """One named row-slice view of the stacked table per component."""
+        return dict(zip(self.names, np.split(self.table, self.offsets[1:-1])))
 
     def scatter_grad(self, timestamps, upstream: np.ndarray,
                      grads: dict[str, np.ndarray]) -> None:
-        """Set ``grads['time']`` to d(loss)/d(time rows)."""
+        """Set the gradient of every tensor, routing each upstream row
+        additively to the rows its timestamp selects."""
         grad = np.zeros_like(self.table)
-        np.add.at(grad, np.asarray(timestamps, dtype=np.int64), upstream)
-        grads["time"] = grad
+        np.add.at(grad, self._rows(timestamps), upstream[:, None, :])
+        grads.update(zip(self.names, np.split(grad, self.offsets[1:-1])))
 
 
-class CyclicTimeEncoder:
-    """Summed cycle-component embeddings, decomposition cached per timestamp.
+class SimpleTimeEncoder(TimeEncoder):
+    """One independent embedding row per timestamp index: one component."""
 
-    The 14 component tables are row ranges of one stacked table, in
-    canonical order; ``component_rows[t, j]`` is the row of component
-    ``COMPONENTS[j]`` that timestamp index ``t`` selects, counted within
-    that component. It is a pure function of the vocabulary's date list
-    and is computed once.
-    """
+    kind = "ste"
+    # perfbench traces each class's own methods, so each binds the shared ones
+    encode_batch, scatter_grad = TimeEncoder.encode_batch, TimeEncoder.scatter_grad
+
+    def __init__(self, table: np.ndarray):
+        if table.ndim != 2:
+            raise ShapeError(f"time table must be 2-d, got shape {table.shape}")
+        super().__init__(table, np.arange(table.shape[0])[:, None], ("time",), table.shape[:1])
+
+
+class CyclicTimeEncoder(TimeEncoder):
+    """The 14 cycle components, stacked in canonical order; ``component_rows``
+    is a function of the vocabulary's date list, computed once."""
 
     kind = "cte"
+    # perfbench traces each class's own methods, so each binds the shared ones
+    encode_batch, scatter_grad = TimeEncoder.encode_batch, TimeEncoder.scatter_grad
 
     def __init__(self, tables: dict[str, np.ndarray], component_rows: np.ndarray):
         if set(tables) != set(COMPONENTS):
@@ -167,57 +199,12 @@ class CyclicTimeEncoder:
                                  f"expected {(card, dim)}")
         if component_rows.ndim != 2 or component_rows.shape[1] != len(COMPONENTS):
             raise ShapeError(f"component_rows must be (T, 14), got {component_rows.shape}")
-        self.table = np.concatenate([tables[c] for c in COMPONENTS])
-        self.offsets = np.cumsum([0, *_CARDINALITIES.values()])
-        self.component_rows = component_rows
-
-    @property
-    def dim(self) -> int:
-        return self.table.shape[1]
-
-    def _rows(self, ts: np.ndarray) -> np.ndarray:
-        """(B, 14) rows of the stacked table that the timestamps select."""
-        return self.component_rows[ts] + self.offsets[:-1]
-
-    def encode_batch(self, timestamps) -> np.ndarray:
-        """Sum of the 14 selected rows, in canonical order, per timestamp.
-
-        The selected rows are gathered and summed a cache-sized block of
-        timestamps at a time, so the (B, 14, d) gather never exists whole.
-        """
-        ts = np.asarray(timestamps, dtype=np.int64)
-        if ts.size and (ts.min() < 0 or ts.max() >= self.component_rows.shape[0]):
-            raise IndexError("timestamp index out of range")
-        rows = self._rows(ts)
-        out = np.empty((ts.size, self.dim))
-        block = max(1, _CHUNK // (len(COMPONENTS) * self.dim))
-        scratch = np.empty(min(ts.size, block) * len(COMPONENTS) * self.dim)
-        for start in range(0, ts.size, block):
-            take_rows(self.table, rows[start:start + block], scratch).sum(
-                axis=1, out=out[start:start + block])
-        return out
-
-    def tensors(self) -> dict[str, np.ndarray]:
-        """One named row-slice view of the stacked table per component."""
-        return _component_views(self.table, self.offsets)
-
-    def scatter_grad(self, timestamps, upstream: np.ndarray,
-                     grads: dict[str, np.ndarray]) -> None:
-        """Set each ``grads['time_<component>']``, routing every upstream row
-        additively to the 14 rows its timestamp selects."""
-        grad = np.zeros_like(self.table)
-        rows = self._rows(np.asarray(timestamps, dtype=np.int64))
-        np.add.at(grad, rows, upstream[:, None, :])
-        grads.update(_component_views(grad, self.offsets))
+        super().__init__(np.concatenate([tables[c] for c in COMPONENTS]), component_rows,
+                         tuple(f"time_{c}" for c in COMPONENTS), _CARDINALITIES.values())
 
 
 #: The encoder names that configs, manifests and ``--encoder`` use.
 ENCODERS = (SimpleTimeEncoder.kind, CyclicTimeEncoder.kind)
-
-
-def _component_views(stacked: np.ndarray, offsets: np.ndarray) -> dict[str, np.ndarray]:
-    return {f"time_{c}": stacked[offsets[j]:offsets[j + 1]]
-            for j, c in enumerate(COMPONENTS)}
 
 
 def component_rows_for(dates: Iterable[dt.date]) -> np.ndarray:

@@ -206,6 +206,15 @@ class TestTrain:
         assert capsys.readouterr().err == f"error: output directory {out} is not empty\n"
         assert [p.name for p in out.iterdir()] == ["notes.txt"]
 
+    def test_out_that_is_a_file_refused_before_the_dataset_is_read(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        out.write_text("keep")
+        code = main(["train", "--dataset", str(tmp_path / "nope"), "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == \
+            f"error: output path {out} exists and is not a directory\n"
+        assert out.read_text() == "keep"
+
     def test_empty_out_directory_is_accepted(self, tmp_path):
         (tmp_path / "run").mkdir()
         code, out = run_train(tmp_path, "--epochs", "1")

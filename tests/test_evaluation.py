@@ -478,6 +478,15 @@ class TestExports:
         with pytest.raises(DataError, match="timestamp"):
             export_time_concentration(quads, self.make_vocab(), tmp_path / "c.csv")
 
+    @pytest.mark.parametrize("bad", [-1, 6, 7])
+    def test_relation_outside_reciprocal_range_refused(self, tmp_path, bad):
+        # with % R folding, relation 7 would count under 1 and -1 under 2
+        quads = np.array([[0, 0, 1, 0], [0, bad, 1, 1]])
+        with pytest.raises(DataError, match="relation"):
+            relation_time_counts(quads, 3, 2)
+        with pytest.raises(DataError, match="relation"):
+            export_time_relation_heatmap(quads, self.make_vocab(), tmp_path / "h.csv")
+
     def test_empty_kg_empty_body(self, tmp_path):
         vocab = Vocab(entities=[], relations=[], dates=[])
         path = tmp_path / "c.csv"

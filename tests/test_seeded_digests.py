@@ -44,7 +44,7 @@ def test_lists_every_pair_and_artifact():
             f"{pair}/{name}" for pair, tensors in SCALE_TENSORS.items()
             for name in ["loss-epoch-0", "loss-epoch-1",
                          *(f"{kind}/{t}" for kind in ("param", "m", "v") for t in tensors),
-                         "evaluate-filtered.json", "evaluate-raw.json"]]
+                         "encode-3200", "evaluate-filtered.json", "evaluate-raw.json"]]
     for pair, checkpoint in zip(PAIRS, CHECKPOINTS * 3):
         names = files[pair]
         assert len(names) == len(set(names))

@@ -1,4 +1,4 @@
-"""Calendar decomposition and the two time encoders."""
+"""Calendar decomposition and the two time encoders, which share one implementation."""
 
 import datetime as dt
 
@@ -129,21 +129,22 @@ def random_tables(dim, rng):
 
 
 def loop_encode(tensors, component_rows, ts):
-    """The cyclic encoding as 14 gathers from the ``time_<component>``
-    tensors, summed in component order."""
+    """The encoding as one gather per component tensor (``time``, or the 14
+    ``time_<component>`` in canonical order), summed in component order."""
     rows = component_rows[np.asarray(ts, dtype=np.int64)]
-    out = np.zeros((rows.shape[0], tensors["time_day_of_week"].shape[1]))
-    for j, comp in enumerate(COMPONENTS):
-        out += tensors[f"time_{comp}"][rows[:, j]]
+    tables = list(tensors.values())
+    out = np.zeros((rows.shape[0], tables[0].shape[1]))
+    for j, table in enumerate(tables):
+        out += table[rows[:, j]]
     return out
 
 
 def loop_scatter(tensors, component_rows, ts, upstream):
-    """The cyclic gradient as one add.at per ``time_<component>`` tensor."""
+    """The gradient as one add.at per component tensor."""
     rows = component_rows[np.asarray(ts, dtype=np.int64)]
     grads = {name: np.zeros_like(t) for name, t in tensors.items()}
-    for j, comp in enumerate(COMPONENTS):
-        np.add.at(grads[f"time_{comp}"], rows[:, j], upstream)
+    for j, name in enumerate(tensors):
+        np.add.at(grads[name], rows[:, j], upstream)
     return grads
 
 
@@ -327,6 +328,30 @@ class TestCyclicEncoder:
         assert enc.encode_batch([]).shape == (0, 4)
         batch = enc.encode_batch([5, 5])
         np.testing.assert_array_equal(batch[0], batch[1])
+
+
+@pytest.mark.parametrize("kind", ["ste", "cte"])
+def test_shared_path_matches_per_component_loop_across_blocks(kind):
+    # 1,600 timestamps span 4 of encode_batch's 512-row blocks for ste at
+    # d=64, and 45 of its 36-row blocks for cte
+    rng = np.random.default_rng(13)
+    dates = [dt.date(2013, 12, 1) + dt.timedelta(days=i) for i in range(365)]
+    if kind == "ste":
+        enc = SimpleTimeEncoder(rng.standard_normal((len(dates), 64)))
+    else:
+        enc = CyclicTimeEncoder(random_tables(64, rng), component_rows_for(dates))
+    assert enc.kind == kind and enc.component_rows.shape == (len(dates), len(enc.tensors()))
+    ts = rng.integers(0, len(dates), size=1600)
+    tensors = enc.tensors()
+    np.testing.assert_array_equal(enc.encode_batch(ts),
+                                  loop_encode(tensors, enc.component_rows, ts))
+    upstream = rng.standard_normal((ts.size, 64))
+    grads = {}
+    enc.scatter_grad(ts, upstream, grads)
+    expected = loop_scatter(tensors, enc.component_rows, ts, upstream)
+    assert list(grads) == list(tensors) == list(expected)
+    for name in expected:
+        np.testing.assert_array_equal(grads[name], expected[name])
 
 
 def test_checkpoint_of_fourteen_files_loads_into_the_stacked_table(tmp_path):

@@ -32,7 +32,9 @@ train tnt-ste and cfb-cte at d=32, k=16, batch 200 for 2 epochs of 3
 steps, so each batch's logits span 4 loss chunks and each B x (k*d)
 product 4 row blocks, and then rank 1,600 test queries, 4 ranking chunks,
 filtered and raw. They print each epoch's loss as a hex float and the
-SHA-256 of every parameter, Adam moment and metrics record. Each group runs
+SHA-256 of every parameter, Adam moment and metrics record, and of the
+trained encoder's ``encode_batch`` over 3,200 timestamp indices taken
+cyclically, which spans 3 or more of its row blocks for both encoders. Each group runs
 in its own child process under ``OPENBLAS_NUM_THREADS`` 1 or 2, because a
 dgemm can round differently on another thread count; compare trees at
 equal counts only.
@@ -57,6 +59,9 @@ POLICIES = [["best"], ["every", "--checkpoint-every", "2"], ["last"]]
 HEATMAP_RATES = (1, 3, 4)
 SCALE_PAIRS = [("tnt", "ste"), ("cfb", "cte")]
 SCALE_THREADS = (1, 2)
+# timestamps encoded at once by the scale runs' digest: 3+ of encode_batch's
+# row blocks for both encoders at d=32, which no batch or ranking chunk reaches
+ENCODE_ROWS = 3200
 
 
 def _cli(argv: list[str]) -> bytes:
@@ -157,6 +162,9 @@ def digest_scale() -> list[tuple[str, bytes | str]]:
                                ("m", trainer.adam.m), ("v", trainer.adam.v)):
             artifacts += [(f"{pair}/{group}/{name}", np.ascontiguousarray(t, "<f8").tobytes())
                           for name, t in tensors.items()]
+        ts = np.arange(ENCODE_ROWS) % trainer.num_timestamps
+        artifacts.append((f"{pair}/encode-{ENCODE_ROWS}", np.ascontiguousarray(
+            trainer.model.params.encoder.encode_batch(ts), "<f8").tobytes()))
         for mode in ("filtered", "raw"):
             metrics = trainer.evaluate_split("test", mode=mode).to_dict()
             artifacts.append((f"{pair}/evaluate-{mode}.json",
