@@ -147,7 +147,7 @@ class TimeEncoder:
         """
         rows = self._rows(timestamps)
         out = np.empty((rows.shape[0], self.dim))
-        block = max(1, _CHUNK // (len(self.names) * self.dim))
+        block = max(1, _CHUNK // (len(self.names) * self.dim or 1))
         scratch = np.empty(min(rows.shape[0], block) * len(self.names) * self.dim)
         for start in range(0, rows.shape[0], block):
             take_rows(self.table, rows[start:start + block], scratch).sum(

@@ -181,6 +181,10 @@ class TestSimpleEncoder:
         enc = SimpleTimeEncoder(np.random.default_rng(0).standard_normal((3, 5)))
         assert enc.encode_batch([]).shape == (0, 5)
 
+    def test_zero_width_table(self):
+        enc = SimpleTimeEncoder(np.zeros((3, 0)))
+        assert enc.encode_batch([0, 2]).shape == (2, 0)
+
 
 class TestCyclicEncoder:
     def dates(self, n=10, start=dt.date(2014, 1, 1)):
