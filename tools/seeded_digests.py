@@ -34,10 +34,10 @@ product 4 row blocks, and then rank 1,600 test queries, 4 ranking chunks,
 filtered and raw. They print each epoch's loss as a hex float and the
 SHA-256 of every parameter, Adam moment and metrics record, and of the
 trained encoder's ``encode_batch`` over 3,200 timestamp indices taken
-cyclically, which spans 3 or more of its row blocks for both encoders. Each group runs
-in its own child process under ``OPENBLAS_NUM_THREADS`` 1 or 2, because a
-dgemm can round differently on another thread count; compare trees at
-equal counts only.
+cyclically, which spans 3 or more of its row blocks for both encoders.
+Each group runs in its own child process under ``OPENBLAS_NUM_THREADS`` 1
+or 2, because a dgemm can round differently on another thread count;
+compare trees at equal counts only.
 
 Equal output for two trees means their seeded outputs are byte-identical.
 """
@@ -59,8 +59,8 @@ POLICIES = [["best"], ["every", "--checkpoint-every", "2"], ["last"]]
 HEATMAP_RATES = (1, 3, 4)
 SCALE_PAIRS = [("tnt", "ste"), ("cfb", "cte")]
 SCALE_THREADS = (1, 2)
-# timestamps encoded at once by the scale runs' digest: 3+ of encode_batch's
-# row blocks for both encoders at d=32, which no batch or ranking chunk reaches
+# 3+ of encode_batch's row blocks for both encoders at d=32; no batch or
+# ranking chunk of the scale runs encodes that many timestamps at once
 ENCODE_ROWS = 3200
 
 
