@@ -28,6 +28,8 @@ import numpy as np
 from .errors import DataError, MissingKeyError, OovError
 
 SPLIT_NAMES = ("train", "valid", "test")
+# kept lines split at a time: only one block's field strings live at once
+_BLOCK = 4096
 
 
 @dataclass(frozen=True, eq=False)
@@ -48,9 +50,11 @@ def _split_lines(text: str) -> list[str]:
 def parse_quadruples(source, origin: str = "<stream>") -> QuadrupleColumns:
     """Parse tab-separated quadruple lines into columns.
 
-    Lines end at ``\\n``, ``\\r\\n`` or ``\\r``; blank lines are skipped and
-    fields are stripped. The first malformed line in file order, or bytes
-    that are not UTF-8, raise :class:`DataError` with its 1-based number.
+    One leading U+FEFF (a byte order mark) is dropped. Lines end at
+    ``\\n``, ``\\r\\n`` or ``\\r``; blank lines are skipped and fields are
+    stripped. Equal tokens share one string object. The first malformed
+    line in file order, or bytes that are not UTF-8, raise
+    :class:`DataError` with its 1-based number.
     """
     if hasattr(source, "read"):
         source = source.read()
@@ -60,7 +64,8 @@ def parse_quadruples(source, origin: str = "<stream>") -> QuadrupleColumns:
         except UnicodeDecodeError as exc:
             lineno = len(_split_lines(exc.object[:exc.start].decode("utf-8")))
             raise DataError(f"{origin}:{lineno}: not UTF-8 text: {exc}") from None
-    lines = _split_lines(source)
+    lines = _split_lines(source.removeprefix("\ufeff"))
+    del source  # a decoded file is not needed past its lines
     kept = list(compress(lines, map(str.strip, lines)))
     errors = []  # (row, rank on that row, message)
     tabs = np.fromiter(map(str.count, kept, repeat("\t")), np.int64, len(kept))
@@ -68,7 +73,9 @@ def parse_quadruples(source, origin: str = "<stream>") -> QuadrupleColumns:
     rows = int(wrong[0]) if wrong.size else len(kept)
     if rows < len(kept):
         errors.append((rows, 0, f"expected 4 tab-separated columns, got {tabs[rows] + 1}"))
-    tokens = list(map(str.strip, "\t".join(kept[:rows]).split("\t"))) if rows else []
+    canon = {}  # one string object per distinct token; a block's own strings die with it
+    tokens = [canon.setdefault(token, token) for start in range(0, rows, _BLOCK) for token in
+              map(str.strip, "\t".join(kept[start:min(start + _BLOCK, rows)]).split("\t"))]
     if not all(tokens):
         errors.append((tokens.index("") // 4, 0, "empty field"))
     datestrs, dates = tokens[3::4], {}
@@ -81,6 +88,7 @@ def parse_quadruples(source, origin: str = "<stream>") -> QuadrupleColumns:
         row, _, message = min(errors)
         lineno = list(compress(count(1), map(str.strip, lines)))[row]
         raise DataError(f"{origin}:{lineno}: {message}")
+    del lines, kept  # so the columns are built beside the tokens alone
     return QuadrupleColumns(tokens[0::4], tokens[1::4], tokens[2::4],
                             list(map(dates.__getitem__, datestrs)))
 
