@@ -5,7 +5,9 @@ import datetime as dt
 import importlib.util
 import io
 import sys
+import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -82,6 +84,20 @@ class TestParse:
             parse_quadruples((fact + "\r\nE\tq\tF\t2014-13-01\n").encode(), "f.txt")
         with pytest.raises(DataError, match="^f.txt:2: not UTF-8"):
             parse_quadruples(fact.encode() + b"\xff\tq\tF\t2014-01-02\n", "f.txt")
+
+    @pytest.mark.parametrize("text", [
+        b"\xef\xbb\xbfA\tp\tB\t2014-01-01\nB\tp\tA\t2014-01-02\n",
+        "\ufeffA\tp\tB\t2014-01-01\nB\tp\tA\t2014-01-02\n"])
+    def test_leading_byte_order_mark_dropped(self, text):
+        quads = parse_quadruples(text)
+        assert quads.subjects == ["A", "B"]
+        assert build_vocab(quads).entities == ["A", "B"]
+
+    def test_only_one_leading_byte_order_mark_dropped(self):
+        quads = parse_quadruples("\ufeff\ufeffA\tp\t\ufeffB\t2014-01-01\n")
+        assert (quads.subjects, quads.objects) == (["\ufeffA"], ["\ufeffB"])
+        with pytest.raises(DataError, match="^f.txt:2: empty field"):
+            parse_quadruples(b"\xef\xbb\xbf\nA\tp\t \t2014-01-01\n", "f.txt")
 
     @pytest.mark.parametrize("lines, message", [
         (["A\tp\tB\t2014-01-01", "", "A\tp\tB\t2014-13-01", "A\tp\tB\t2014-01-02",
@@ -169,6 +185,7 @@ def reference_parse(text):
     parser replaced, with lines read under universal newlines. It serves
     the tests only, as ``rank_of`` serves the vectorised ranker."""
     out = []
+    text = text.removeprefix("\ufeff")
     for lineno, line in enumerate(io.StringIO(text, newline=None), start=1):
         line = line.rstrip("\n")
         if not line.strip():
@@ -240,10 +257,10 @@ junk_lines = st.sampled_from(["a\tp\tb", "a\tp\tb\t2014-01-01\tx", "a\t \tb\t201
 endings = st.sampled_from(["\n", "\r\n", "\r"])
 
 
-def files(lines):
+def files(lines, min_size=0, max_size=12):
     return st.builds(
         lambda pairs, last: "".join(line + end for line, end in pairs) + last,
-        st.lists(st.tuples(lines, endings), max_size=12),
+        st.lists(st.tuples(lines, endings), min_size=min_size, max_size=max_size),
         st.sampled_from(["", "a\tq\tb\t2014-01-01"]))
 
 
@@ -285,6 +302,96 @@ class TestColumnarMatchesPerLineReference:
         vocab = build_vocab(quads)
         assert vocab.dates == [dt.date(2014, 1, 1)]
         np.testing.assert_array_equal(index_quadruples(quads, vocab)[:, 3], [0, 0])
+
+
+def distinct_objects(columns):
+    return len({id(x) for column in vars(columns).values() for x in column})
+
+
+class TestBlockEdges:
+    """Lines are split a block of ``_BLOCK`` kept lines at a time; these
+    files span 3 or more blocks, with what a line may hold at their edges."""
+
+    BLOCK = 4
+    JUNK = ["e1\tr1\te2", "e1\tr1\te2\t2014-01-01\tx", "e1\t \te2\t2014-01-01",
+            "e1\tr1\t\t2014-01-01", "e1\tr1\te2\t2014-02-30"]
+
+    def text(self, bad=()):
+        """15 kept lines, 4 blocks: each block's first line padded and ending
+        in CRLF after a blank line, its last one ending in CR before a blank
+        line; ``bad`` maps kept rows to the lines that replace them."""
+        bad, out = dict(bad), []
+        for row in range(15):
+            fields = [f"e{row % 5}", f"r{row % 3}", f"e{(row + 2) % 5}", f"2014-01-{row + 1:02d}"]
+            if row % self.BLOCK == 0:
+                out += [" \t \n", bad.get(row, "\t".join(f" {f}  " for f in fields)) + "\r\n"]
+            elif row % self.BLOCK == self.BLOCK - 1:
+                out += [bad.get(row, "\t".join(fields)) + "\r", "\r\n"]
+            else:
+                out.append(bad.get(row, "\t".join(fields)) + "\n")
+        return "".join(out)
+
+    def test_padded_edges_equal_reference(self, monkeypatch):
+        monkeypatch.setattr(datasets, "_BLOCK", self.BLOCK)
+        text = self.text()
+        quads = parse_quadruples(text.encode())
+        assert vars(quads) == vars(reference_parse(text))
+        assert quads.subjects[4::4] == ["e4", "e3", "e2"]  # first lines of blocks 2-4
+        assert distinct_objects(quads) == 5 + 3 + 15
+
+    @pytest.mark.parametrize("row", [4, 7, 8, 11, 12, 14])  # first/last of blocks 2, 3, 4
+    @pytest.mark.parametrize("junk", JUNK)
+    def test_malformed_edge_line_equals_reference(self, monkeypatch, row, junk):
+        monkeypatch.setattr(datasets, "_BLOCK", self.BLOCK)
+        text = self.text({row: junk})
+        assert outcome(parse_quadruples, text) == outcome(reference_parse, text)
+        assert outcome(parse_quadruples, text.encode()) == outcome(reference_parse, text)
+        assert outcome(reference_parse, text)[0] is DataError
+
+    @pytest.mark.parametrize("first, second", [(7, 8), (8, 11), (4, 12)])
+    @pytest.mark.parametrize("junk", [(JUNK[4], JUNK[2]), (JUNK[3], JUNK[4]), (JUNK[4], JUNK[0])])
+    def test_first_malformed_line_across_blocks(self, monkeypatch, first, second, junk):
+        # a bad date ranks after a column error on its own line, never on a later one
+        monkeypatch.setattr(datasets, "_BLOCK", self.BLOCK)
+        text = self.text({first: junk[0], second: junk[1]})
+        want = outcome(reference_parse, text)
+        lineno = len(io.StringIO(text[:text.index(junk[0])], newline=None).readlines()) + 1
+        assert want[1].startswith(f"<stream>:{lineno}:")
+        assert outcome(parse_quadruples, text) == want
+
+    @settings(max_examples=150, deadline=None)
+    @given(files(st.one_of(fact_lines, fact_lines, fact_lines, blank_lines, junk_lines),
+                 min_size=12, max_size=30), st.integers(1, 3))
+    def test_many_blocks_equal_reference(self, text, block):
+        with mock.patch.object(datasets, "_BLOCK", block):
+            got = outcome(parse_quadruples, text)
+            assert got == outcome(reference_parse, text)
+            assert outcome(parse_quadruples, text.encode()) == got
+
+    def test_one_string_per_token_and_half_the_peak(self, monkeypatch):
+        # 11 blocks of facts over 600 entities, 40 relations and 365 days
+        rng = np.random.default_rng(3)
+        n = 45_000
+        days = [dt.date(2014, 1, 1) + dt.timedelta(days=i) for i in range(365)]
+        s, o = rng.integers(0, 600, (2, n))
+        p, t = rng.integers(0, 40, n), rng.integers(0, 365, n)
+        text = "".join(f"entity {a}\trelation {b}\tentity {c}\t{days[d]}\n"
+                       for a, b, c, d in zip(s, p, o, t))
+        quads = parse_quadruples(text)
+        assert distinct_objects(quads) == len(set().union(*vars(quads).values()))
+        assert n > 10 * datasets._BLOCK
+
+        def traced_peak():
+            tracemalloc.start()
+            try:
+                parse_quadruples(text)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        blocked = traced_peak()
+        monkeypatch.setattr(datasets, "_BLOCK", n)  # one block: every field string at once
+        assert 2 * blocked <= traced_peak()
 
 
 class TestReciprocal:

@@ -1,6 +1,7 @@
 """``tools/seeded_digests.py`` lists every seeded artifact of the nine
-variant/encoder pairs, the dataset commands' outputs and the scale runs at
-two BLAS thread counts, so diffing its output for two trees covers them all."""
+variant/encoder pairs, the dataset commands' outputs, the load of a dataset
+of several line blocks and the scale runs at two BLAS thread counts, so
+diffing its output for two trees covers them all."""
 
 import re
 import subprocess
@@ -16,7 +17,9 @@ PAIRS = ["lowfer-ste", "t-ste", "t-cte", "tnt-ste", "tnt-cte", "cfb-ste", "cfb-c
 CHECKPOINTS = ["checkpoint-best", "checkpoint-epoch-1", "checkpoint-last"]
 DATA = ["stats.stdout", "encode-time.stdout", "heatmap-rate1.csv", "concentration-rate1.csv",
         "heatmap-rate3.csv", "concentration-rate3.csv", "heatmap-rate4.csv",
-        "concentration-rate4.csv"]
+        "concentration-rate4.csv", "blocks/stats.stdout", "blocks/vocab/entities",
+        "blocks/vocab/relations", "blocks/vocab/timestamps", "blocks/train", "blocks/valid",
+        "blocks/test"]
 SCALE = ["scale-threads1", "scale-threads2"]
 SCALE_TENSORS = {"tnt-ste": ["entity", "relation", "subject_proj", "relation_proj",
                              "relation_static", "time"],

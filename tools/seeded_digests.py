@@ -24,6 +24,10 @@ Lines of the group ``data`` then digest, on the same dataset, the stdout
 of ``timekge stats`` and ``timekge encode-time --dataset``, and both CSV
 files of ``timekge heatmap --concentration`` at time rates 1, 3 and 4;
 3 does not divide the dataset's 20 days, so its last bucket is short.
+Its ``blocks/`` lines load a seeded dataset whose train file spans more
+than 3 of the loader's line blocks, with a CRLF ending, a blank line and
+padded fields at every block edge, and print the stdout of ``timekge
+stats``, the vocabulary hashes and the SHA-256 of each split's index array.
 
 The groups ``scale-threads1`` and ``scale-threads2`` run at shapes where
 the batched paths cross their edges, which the shapes above never reach:
@@ -59,6 +63,8 @@ POLICIES = [["best"], ["every", "--checkpoint-every", "2"], ["last"]]
 HEATMAP_RATES = (1, 3, 4)
 SCALE_PAIRS = [("tnt", "ste"), ("cfb", "cte")]
 SCALE_THREADS = (1, 2)
+# parse_quadruples splits a file's kept lines this many at a time
+BLOCK_LINES = 4096
 # 3+ of encode_batch's row blocks for both encoders at d=32; no batch or
 # ranking chunk of the scale runs encodes that many timestamps at once
 ENCODE_ROWS = 3200
@@ -123,6 +129,50 @@ def digest_data(dataset: str, work: Path) -> list[tuple[str, bytes]]:
     return artifacts
 
 
+def write_block_edge_dataset(directory: Path) -> None:
+    """A seeded dataset of 2,000 entities, 12 relations and 365 days whose
+    train file spans 4 line blocks and part of a fifth; the first and last
+    line of each block end in CRLF beside a blank line, with padded fields."""
+    import datetime as dt
+
+    import numpy as np
+
+    rng = np.random.default_rng(5)
+    days = [dt.date(2014, 1, 1) + dt.timedelta(days=i) for i in range(365)]
+    directory.mkdir()
+    for name, n in (("train", 4 * BLOCK_LINES + 300), ("valid", BLOCK_LINES + 50),
+                    ("test", BLOCK_LINES + 50)):
+        s, o = rng.integers(0, 2000, (2, n))
+        p, t = rng.integers(0, 12, n), rng.integers(0, 365, n)
+        lines = []
+        for row, fact in enumerate(zip(s, p, o, t)):
+            fields = [f"entity {fact[0]}", f"relation {fact[1]}", f"entity {fact[2]}",
+                      days[fact[3]].isoformat()]
+            if row % BLOCK_LINES == 0:
+                lines += [" \r\n", "\t".join(f" {f}  " for f in fields) + "\r\n"]
+            elif row % BLOCK_LINES == BLOCK_LINES - 1:
+                lines += ["\t".join(f"{f} " for f in fields) + "\r\n", "\r\n"]
+            else:
+                lines.append("\t".join(fields) + "\n")
+        (directory / f"{name}.txt").write_bytes("".join(lines).encode("utf-8"))
+
+
+def digest_blocks(work: Path) -> list[tuple[str, bytes | str]]:
+    """Outputs of loading the block-edge dataset, as (name, bytes or hash)."""
+    import numpy as np
+    from timekge import Dataset
+
+    directory = work / "blocks"
+    write_block_edge_dataset(directory)
+    dataset = Dataset.from_dir(directory)
+    artifacts = [("blocks/stats.stdout", _cli(["stats", "--dataset", str(directory)]))]
+    artifacts += [(f"blocks/vocab/{kind}", value)
+                  for kind, value in dataset.vocab.hashes().items()]
+    artifacts += [(f"blocks/{name}", np.ascontiguousarray(getattr(dataset, name), "<i8").tobytes())
+                  for name in ("train", "valid", "test")]
+    return artifacts
+
+
 def scale_dataset():
     """A seeded dataset of 600 entities whose 300 train facts give about 600
     1-N keys (3 batches of 200) and whose 800 test facts give 1,600 queries."""
@@ -181,8 +231,10 @@ def digest() -> None:
         for index, (variant, encoder) in enumerate(PAIRS):
             for name, data in digest_pair(index, variant, encoder, dataset, Path(work)):
                 print(f"{variant}-{encoder} {name} {hashlib.sha256(data).hexdigest()}")
-        for name, data in digest_data(dataset, Path(work)):
-            print(f"data {name} {hashlib.sha256(data).hexdigest()}")
+        for name, data in digest_data(dataset, Path(work)) + digest_blocks(Path(work)):
+            if isinstance(data, bytes):
+                data = hashlib.sha256(data).hexdigest()
+            print(f"data {name} {data}")
     sys.stdout.flush()
     # each scale group in a child of its own, which imports the same timekge
     src = str(Path(timekge.__file__).resolve().parent.parent)
