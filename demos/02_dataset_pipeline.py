@@ -47,9 +47,9 @@ for rate in (1, 4, 1024):
 # Training rows are distinct (s, p, t) keys; the target is the set of all
 # objects observed with that key.
 targets = group_targets(augmented)
-sizes = np.array([len(v) for v in targets.values()])
+sizes = np.diff(targets.offsets)
 print(f"\n{len(targets)} distinct (s, p, t) keys; "
       f"object-set sizes: min {sizes.min()}, max {sizes.max()}")
-multi = next((k for k, v in targets.items() if len(v) > 1), None)
-if multi is not None:
+if sizes.max() > 1:
+    multi = tuple(targets.key_array[np.argmax(sizes > 1)].tolist())
     print("example multi-object key:", multi, "->", targets[multi])

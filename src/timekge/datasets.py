@@ -17,7 +17,7 @@ import hashlib
 import importlib.resources
 import math
 import operator
-from collections.abc import Mapping, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from itertools import compress, count, repeat
 from pathlib import Path
@@ -226,14 +226,14 @@ def resample_dates(dates: Sequence[dt.date], rate: int) -> list[dt.date]:
     return [dates[j] for j in range(0, len(dates), rate)]
 
 
-class TargetIndex(Mapping):
+class TargetIndex:
     """Immutable ``(s, p, t) -> objects`` index over facts, stored as CSR.
 
     ``key_array`` (n, 3) holds the distinct keys in lexicographic order;
     the sorted unique objects of key ``i`` are
-    ``objects[offsets[i]:offsets[i + 1]]``. As a mapping, ``idx[(s, p, t)]``
-    returns that (read-only) slice and iteration yields key tuples in
-    order. :meth:`lookup` resolves a whole batch of keys at once.
+    ``objects[offsets[i]:offsets[i + 1]]``. ``idx[(s, p, t)]`` returns that
+    (read-only) slice and :meth:`lookup` resolves a whole batch of keys at
+    once.
 
     Keys are found by binary search over ``(s * P + p) * T + t``, where
     ``bounds = (S, P, T)`` exceed every component seen at build time. A
@@ -266,11 +266,10 @@ class TargetIndex(Mapping):
         _, num_p, num_t = self.bounds
         return (spt[:, 0] * num_p + spt[:, 1]) * num_t + spt[:, 2]
 
+    __iter__ = None  # a lookup table, not a collection: iter() and ``in`` raise TypeError
+
     def __len__(self) -> int:
         return self.key_array.shape[0]
-
-    def __iter__(self):
-        return map(tuple, self.key_array.tolist())
 
     def _find(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Position of each ``(s, p, t)`` row of ``keys`` and whether it is indexed."""

@@ -388,14 +388,12 @@ class Model:
             time = p.encoder.encode_batch(t_idx)
         _, first, inverse = np.unique(s_idx, return_index=True, return_inverse=True)
         subj, rel = p.entity[s_idx], p.relation[p_idx]
-        rel_static = p.relation_static[p_idx] if variant is Variant.TNT else None
         if variant is Variant.T:
             rel_in = rel * time
         elif variant is Variant.TNT:
-            rel_in = rel * time + rel_static
+            rel_in = rel * time + p.relation_static[p_idx]
         else:  # lowfer; cfb / ftp fuse relation and time after projection
             rel_in = rel
-        del rel_static  # the cache keeps no static rows: free them before the wide products
 
         a_unique = _project_distinct(subj, first, p.subject_proj)
         b = rel_in @ p.relation_proj
@@ -535,14 +533,11 @@ def _dropout_keep(shape, rate: float, training: bool,
 
 
 def _apply_keep(x: np.ndarray, keep: np.ndarray, rate: float) -> None:
-    """``x *= keep / (1 - rate)`` in place on a C-contiguous ``x``.
+    """``x *= keep / (1 - rate)`` in place.
 
     Zeroing then scaling rounds exactly as one multiply by the float mask.
+    Callers pass one row block or a B x d array, so both passes stay in cache.
     """
-    scale = 1.0 / (1.0 - rate)
-    flat_x, flat_keep = x.reshape(-1), keep.reshape(-1)
-    for start in range(0, flat_x.size, _CHUNK):
-        chunk = flat_x[start:start + _CHUNK]
-        chunk *= flat_keep[start:start + _CHUNK]
-        chunk *= scale
+    x *= keep
+    x *= 1.0 / (1.0 - rate)
 

@@ -42,11 +42,11 @@ def bce_loss(logits: np.ndarray, rows: np.ndarray, objects: np.ndarray,
     """Mean binary cross-entropy over candidates against label-smoothed
     targets, in overflow-safe form.
 
-    Accepts one logits vector or a batch of them over ``E`` candidates; the
-    loss averages over every element. Every target is ``smoothing / E``,
-    and row ``rows[j]`` (0 for a vector) marks object ``objects[j]`` with
-    ``1 - smoothing`` more, as :meth:`TargetIndex.lookup` returns them. The
-    targets are never formed whole: each chunk of logits fills its own.
+    Takes a (B, E) batch of logits; the loss averages over every element.
+    Every target is ``smoothing / E``, and row ``rows[j]`` marks object
+    ``objects[j]`` with ``1 - smoothing`` more, as :meth:`TargetIndex.lookup`
+    returns them. The targets are never formed whole: each chunk of logits
+    fills its own.
     Returns the loss and its gradient w.r.t. the logits, written over
     ``logits``: the returned array is ``logits`` itself when that is a
     writeable C-contiguous float64 array, and a converted copy otherwise.
@@ -57,11 +57,11 @@ def bce_loss(logits: np.ndarray, rows: np.ndarray, objects: np.ndarray,
     if not 0.0 <= smoothing < 1.0:
         raise ConfigError(f"label smoothing must be in [0, 1), got {smoothing}")
     x = np.require(logits, dtype=np.float64, requirements=["C", "W"])
-    if x.ndim not in (1, 2):
-        raise ConfigError(f"bce_loss: logits must be a vector or a batch, got shape {x.shape}")
+    if x.ndim != 2:
+        raise ConfigError(f"bce_loss: logits must be a (B, E) batch, got shape {x.shape}")
     if x.size == 0:
         raise ConfigError("bce_loss: no logits")
-    num_rows, num_entities = x.size // x.shape[-1], x.shape[-1]
+    num_rows, num_entities = x.shape
     rows, objects = np.asarray(rows, dtype=np.int64), np.asarray(objects, dtype=np.int64)
     if rows.shape != objects.shape or rows.ndim != 1:
         raise ConfigError(f"bce_loss: rows {rows.shape} and objects {objects.shape} "
@@ -224,6 +224,8 @@ class TrainConfig:
                 raise ConfigError("dropout rates must be in [0, 1)")
         if self.time_sampling_rate < 1:
             raise ConfigError("time sampling rate must be >= 1")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
 def _check_type(field: dataclasses.Field, value) -> None:

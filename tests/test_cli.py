@@ -60,6 +60,19 @@ class TestTrain:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("via", ["flag", "config"])
+    def test_negative_seed_refused_before_the_dataset_is_read(self, tmp_path, capsys, via):
+        out, missing = tmp_path / "o", str(tmp_path / "nope")
+        if via == "flag":
+            argv = ["train", "--dataset", missing, "--out", str(out), "--seed", "-1"]
+        else:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({"dataset": missing, "out": str(out), "seed": -1}))
+            argv = ["train", "--config", str(cfg)]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
+        assert not out.exists()
+
     def test_flags_mirror_run_config_fields(self):
         sub = next(a for a in cli.build_parser()._actions
                    if isinstance(a, argparse._SubParsersAction))

@@ -2,15 +2,17 @@
 
 import dataclasses
 import datetime as dt
+import importlib.util
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from timekge.datasets import Dataset, Vocab, group_targets, synthetic_dataset_dir
 from timekge.errors import ConfigError, NumericError
-from timekge.evaluation import evaluate
+from timekge.evaluation import evaluate, rank_of
 from timekge.kernels import _CHUNK
 from timekge.scoring import Model, _apply_keep, _dropout_keep, init_params
 from timekge import training
@@ -62,9 +64,9 @@ def dense_bce(x, y):
 
 
 def random_marks(rng, shape, density=0.3):
-    """``(rows, objects)`` marking each element of a ``shape`` batch (or vector)
-    with probability ``density``."""
-    return np.nonzero(np.atleast_2d(rng.random(shape) < density))
+    """``(rows, objects)`` marking each element of a ``shape`` batch with
+    probability ``density``."""
+    return np.nonzero(rng.random(shape) < density)
 
 
 def smoothed_row(true_objects, num_entities, smoothing):
@@ -94,25 +96,25 @@ NO_MARKS = (np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64))
 class TestBceLoss:
     def test_symmetric_point(self):
         # one candidate, unmarked: its target is the smoothing itself
-        loss, _ = bce_loss(np.array([0.0]), *NO_MARKS, 0.5)
+        loss, _ = bce_loss(np.array([[0.0]]), *NO_MARKS, 0.5)
         assert loss == pytest.approx(math.log(2.0), rel=1e-12)
 
     def test_saturated_logit_is_stable(self):
-        loss, grad = bce_loss(np.array([1000.0]), [0], [0], 0.0)
+        loss, grad = bce_loss(np.array([[1000.0]]), [0], [0], 0.0)
         assert loss == pytest.approx(0.0, abs=1e-12)
         assert np.isfinite(grad).all()
 
     def test_gradient_hand_value(self):
-        _, grad = bce_loss(np.array([0.0]), [0], [0], 0.0)
-        assert grad[0] == pytest.approx(-0.5, abs=1e-12)
+        _, grad = bce_loss(np.array([[0.0]]), [0], [0], 0.0)
+        assert grad[0, 0] == pytest.approx(-0.5, abs=1e-12)
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(0)
-        x = rng.standard_normal(12) * 3
-        marks = random_marks(rng, 12, density=0.5)
+        x = rng.standard_normal((3, 4)) * 3
+        marks = random_marks(rng, x.shape, density=0.5)
         _, grad = bce_loss(x.copy(), *marks, 0.1)
         eps = 1e-6
-        for i in range(12):
+        for i in np.ndindex(x.shape):
             bumped = x.copy()
             bumped[i] += eps
             up, _ = bce_loss(bumped.copy(), *marks, 0.1)
@@ -123,7 +125,7 @@ class TestBceLoss:
 
     def test_non_finite_logits_rejected(self):
         with pytest.raises(NumericError):
-            bce_loss(np.array([np.nan]), [0], [0], 0.0)
+            bce_loss(np.array([[np.nan]]), [0], [0], 0.0)
 
     @staticmethod
     def two_softplus_reference(x, y):
@@ -136,8 +138,8 @@ class TestBceLoss:
         return loss, (sigmoid - y) / x.size
 
     @pytest.mark.parametrize("x", [
-        np.zeros(5),
-        np.array([1000.0, -1000.0, 0.0, 1e-300, -1e-300]),
+        np.zeros((1, 5)),
+        np.array([[1000.0, -1000.0, 0.0, 1e-300, -1e-300]]),
         np.random.default_rng(4).standard_normal((3, 7)) * 5,
         # more elements than one chunk, so chunk edges are covered
         np.random.default_rng(5).standard_normal((7, 10_001)) * 20,
@@ -163,7 +165,7 @@ class TestBceLoss:
 
     @pytest.mark.parametrize("smoothing", [0.0, 0.1])
     @pytest.mark.parametrize("shape, view", [
-        ((3 * _CHUNK + 5,), None),              # 1-D across three chunk edges
+        ((1, 3 * _CHUNK + 5), None),            # one row across three chunk edges
         ((40, 2 * _CHUNK // 40 + 3), None),     # 2-D, rows straddling the edges
         ((37, 11), None),                       # one chunk
         ((300, 400), "T"),                      # non-contiguous logits
@@ -218,12 +220,17 @@ class TestBceLoss:
 
     @pytest.mark.parametrize("bad", [np.inf, -np.inf])
     def test_infinite_logits_rejected(self, bad):
-        x = np.zeros(50_000)
-        x[40_000] = bad
+        x = np.zeros((1, 50_000))
+        x[0, 40_000] = bad
         # every target 0, then every target 1
         for marks in (NO_MARKS, (np.zeros(x.size, dtype=np.int64), np.arange(x.size))):
             with pytest.raises(NumericError):
                 bce_loss(x.copy(), *marks, 0.0)
+
+    @pytest.mark.parametrize("shape", [(5,), (), (2, 3, 4)])
+    def test_logits_not_a_batch_rejected(self, shape):
+        with pytest.raises(ConfigError, match=r"\(B, E\) batch"):
+            bce_loss(np.zeros(shape), *NO_MARKS, 0.0)
 
     def test_empty_logits_rejected(self):
         with pytest.raises(ConfigError):
@@ -245,7 +252,7 @@ class TestBceLoss:
         x = rng.standard_normal((3, 7))
         rows, objects = random_marks(rng, (3, 7))
         batch_loss, _ = bce_loss(x.copy(), rows, objects, 0.1)
-        per_row = [bce_loss(x[i], np.zeros(np.sum(rows == i), dtype=np.int64),
+        per_row = [bce_loss(x[i:i + 1], np.zeros(np.sum(rows == i), dtype=np.int64),
                             objects[rows == i], 0.1)[0] for i in range(3)]
         assert batch_loss == pytest.approx(np.mean(per_row), rel=1e-12)
 
@@ -660,3 +667,66 @@ class TestRunArtifacts:
         Trainer(ds, TrainConfig(variant="tnt", dim_entity=8, rank=2, epochs=2, seed=0,
                                 batch_size=64)).run(eval_interval=1)
         assert not any(tmp_path.iterdir())
+
+
+def scale_dataset() -> Dataset:
+    """The digest tool's 600-entity dataset: about 600 1-N keys, 3 batches of 200."""
+    spec = importlib.util.spec_from_file_location(
+        "seeded_digests", Path(__file__).resolve().parents[1] / "tools" / "seeded_digests.py")
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    return tool.scale_dataset()
+
+
+class TestBenchmarkChecksAtScale:
+    """The train workload's output checks (``perfbench/workload.py``) on a
+    trained tnt-ste model at d=32, k=16, batch 200: each batch's logits span
+    4 loss chunks and each B x (k*d) product 4 row blocks, which the
+    benchmark's smoke shapes never reach."""
+
+    STEPS = 8
+
+    @pytest.fixture(scope="class")
+    def run(self):
+        dataset = scale_dataset()
+        config = TrainConfig(variant="tnt", encoder="ste", dim_entity=32, rank=16,
+                             batch_size=200, seed=0)
+        trainer = Trainer(dataset, config)
+        count = trainer.keys.shape[0] // config.batch_size
+        assert count >= 2 and config.batch_size * dataset.vocab.num_entities > 3 * _CHUNK
+        order = np.random.default_rng(0).permutation(trainer.keys.shape[0])
+        batches = trainer.keys[order[:count * config.batch_size]].reshape(count, -1, 3)
+        losses = [train_epoch(trainer.model, batches[i % count], trainer.targets, config,
+                              trainer.adam, trainer.rng, config.lr)
+                  for i in range(self.STEPS)]
+        return dataset, trainer, losses
+
+    def test_batch_losses_are_finite_and_fall(self, run):
+        _, _, losses = run
+        assert all(math.isfinite(loss) for loss in losses)
+        assert losses[-1] < losses[0]
+
+    def test_checkpoint_round_trip_is_bit_exact(self, run, tmp_path):
+        dataset, trainer, _ = run
+        trainer.save(tmp_path / "checkpoint", epoch=0)
+        loaded = load_checkpoint(tmp_path / "checkpoint", dataset)[0].tensors()
+        tensors = trainer.model.params.tensors()
+        assert loaded.keys() == tensors.keys()
+        for name, tensor in tensors.items():
+            assert loaded[name].dtype == tensor.dtype
+            assert loaded[name].tobytes() == tensor.tobytes(), name
+
+    def test_evaluate_matches_rank_of_on_single_queries(self, run):
+        _, trainer, _ = run
+        valid, flt = trainer.valid_quads, trainer.filter
+        # the queries whose filter removes another object first, so that a
+        # filter the ranking reads wrongly moves a rank
+        known_counts = np.bincount(flt.lookup(valid[:, [0, 1, 3]])[0], minlength=len(valid))
+        picks = np.argsort(-known_counts, kind="stable")[:32]
+        assert known_counts[picks[4]] > 1
+        for s, p, o, t in valid[np.sort(picks)].tolist():
+            logits, _ = trainer.model.forward([s], [p], [t])
+            known = flt[(s, p, t)]
+            expected = 1.0 / rank_of(logits[0], o, known[known != o])
+            got = evaluate(trainer.model, np.array([[s, p, o, t]]), flt).mrr
+            assert abs(got - expected) <= 1e-12, (s, p, o, t)
